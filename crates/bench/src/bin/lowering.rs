@@ -1,15 +1,17 @@
 //! Kernel-lowering exhibit: interpreted tap loops vs the lowered tap
-//! programs (precomputed offsets, interior/border split) vs the
-//! batch-major SIMD lanes on a CIFAR-scale shift-add layer, plus the
-//! lowered cores under both engine execution policies. Set
+//! programs (per-tap offsets into zero-padded planes) vs the
+//! batch-major SIMD lanes on a CIFAR-scale shift-add layer and on
+//! network 1's small 4×4 plane, where most positions touch padding,
+//! plus the lowered cores under both engine execution policies. Set
 //! FLIGHT_FIDELITY=smoke|bench|full and (optionally)
 //! FLIGHT_TELEMETRY=stderr|jsonl:<path>. The manifest carries top-level
-//! `parity`, `simd_parity`, `speedup`, and `scalar_vs_simd_speedup`
-//! fields so CI can gate on them: the parity fields are the bitwise
-//! logits-and-counts agreement of every pair measured here, `speedup`
-//! is the dispatched kernel over naive (single thread), and
-//! `scalar_vs_simd_speedup` is the SIMD lane path over the pinned
-//! per-image scalar path on the same lowered program.
+//! `parity`, `simd_parity`, `speedup`, `scalar_vs_simd_speedup`,
+//! `small_plane_parity` and `small_plane_scalar_vs_simd` fields so CI
+//! can gate on them: the parity fields are the bitwise logits-and-counts
+//! agreement of every pair measured here, `speedup` is the dispatched
+//! kernel over naive (single thread), and the `scalar_vs_simd` ratios
+//! are the SIMD lane path over the pinned per-image scalar path on the
+//! same lowered program.
 
 use std::time::Instant;
 
@@ -21,7 +23,9 @@ use flight_kernels::{
     CompileOptions, ExecutionPolicy, IntNetwork, KernelPath, QuantActivations, ShiftKernel, LANES,
 };
 use flight_telemetry::json::JsonValue;
+use flight_tensor::Tensor;
 use flight_tensor::{uniform, TensorRng};
+use flightnn::configs::NetworkConfig;
 use flightnn::convert::shift_plan;
 use flightnn::layers::QuantConv2d;
 use flightnn::{QuantNet, QuantScheme};
@@ -94,6 +98,65 @@ fn main() {
          {scalar_vs_simd:.2}x over scalar"
     );
 
+    // Small plane: network 1's 4x4, 16-channel layer (width 0.25), one
+    // lane block. 12 of its 16 output positions read padding.
+    let small = NetworkConfig::by_id(1)
+        .conv_plan([3, 16, 16], 0.25)
+        .into_iter()
+        .find(|spec| spec.in_h == 4 && spec.in_channels == spec.out_channels)
+        .expect("network 1 has a 4x4 channel-preserving conv layer");
+    let mut srng = TensorRng::seed(profile.seed.wrapping_add(2));
+    let mut small_conv = QuantConv2d::new(
+        &mut srng,
+        &QuantScheme::l1(),
+        small.in_channels,
+        small.out_channels,
+        small.kernel,
+        small.stride,
+        small.padding,
+    );
+    let small_kernel = ShiftKernel::compile(
+        &shift_plan(&mut small_conv),
+        &[
+            small.out_channels,
+            small.in_channels,
+            small.kernel,
+            small.kernel,
+        ],
+    );
+    let sx = uniform(
+        &mut srng,
+        &[LANES, small.in_channels, 4, small.in_w],
+        -1.0,
+        1.0,
+    );
+    let sqa = QuantActivations::quantize(&sx, 8);
+    let (s, p) = (small.stride, small.padding);
+    let (small_ref, small_ref_counts) = shift_add_conv_reference(&sqa, &small_kernel, s, p);
+    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let small_parity = [simd, KernelPath::Portable, KernelPath::Scalar]
+        .into_iter()
+        .all(|path| {
+            let (out, counts) = shift_add_conv_with_path(&sqa, &small_kernel, s, p, path);
+            bits(&out) == bits(&small_ref) && counts == small_ref_counts
+        });
+    let small_reps = reps * 50;
+    let time_small = |path: KernelPath| {
+        let start = Instant::now();
+        for _ in 0..small_reps {
+            let _ = shift_add_conv_with_path(&sqa, &small_kernel, s, p, path);
+        }
+        (small_reps * LANES) as f64 / start.elapsed().as_secs_f64().max(1e-9)
+    };
+    let small_scalar_ips = time_small(KernelPath::Scalar);
+    let small_simd_ips = time_small(simd);
+    let small_ratio = small_simd_ips / small_scalar_ips.max(1e-9);
+    println!(
+        "small plane {}ch 4x{} k{} p{}, batch {LANES}: lowered scalar {small_scalar_ips:.1} img/s | \
+         simd[{simd}] {small_simd_ips:.1} img/s | {small_ratio:.2}x over scalar | parity {small_parity}",
+        small.out_channels, small.in_w, small.kernel, small.padding
+    );
+
     // Engine pass: the same lowered cores behind both execution
     // policies, sharing one geometry-keyed lowering cache per kernel.
     let mut net = QuantNet::new();
@@ -148,6 +211,17 @@ fn main() {
             ],
         ),
         (
+            "small_plane".to_string(),
+            vec![
+                row("lowered scalar", small_scalar_ips, 1.0),
+                row(
+                    &format!("lowered simd [{simd}]"),
+                    small_simd_ips,
+                    small_ratio,
+                ),
+            ],
+        ),
+        (
             "engine".to_string(),
             vec![
                 row("lowered sequential", seq_ips, 1.0),
@@ -167,8 +241,14 @@ fn main() {
             ("simd_parity", JsonValue::Bool(simd_parity)),
             ("speedup", JsonValue::Number(speedup)),
             ("scalar_vs_simd_speedup", JsonValue::Number(scalar_vs_simd)),
+            ("small_plane_parity", JsonValue::Bool(small_parity)),
+            ("small_plane_scalar_vs_simd", JsonValue::Number(small_ratio)),
         ],
     );
     assert!(parity, "lowered kernels diverged from the references");
     assert!(simd_parity, "a dispatch path diverged from the reference");
+    assert!(
+        small_parity,
+        "a small-plane path diverged from the reference"
+    );
 }

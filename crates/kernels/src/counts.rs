@@ -11,9 +11,12 @@ use serde::{Deserialize, Serialize};
 ///
 /// # Counting conventions
 ///
-/// Counts charge only **executed** taps — a tap clipped away by padding
-/// costs nothing, so border positions are cheaper than interior ones.
-/// Per output position and filter with `t` executed taps:
+/// Counts charge only **executed** taps — taps that read a real input
+/// pixel. The lowered kernels physically run every tap over zero-padded
+/// planes, but a tap on the padding ring reads a zero, adds exactly 0,
+/// and costs nothing here, so border positions are cheaper than
+/// interior ones. Per output position and filter with `t` executed
+/// taps:
 ///
 /// * **shift-add datapath** (`shifts`/`int_adds`): `t` shifts and
 ///   `t − 1` adds — the paper's §3 cost model (`k` shifts, `k − 1`
@@ -24,10 +27,12 @@ use serde::{Deserialize, Serialize};
 ///   and `t` accumulates — a fused MAC per tap, so the two fields are
 ///   always equal for this path.
 ///
-/// The lowered kernels precompute these totals per geometry (interior
-/// analytically, border by dry run) and must stay bit-identical to the
-/// interpreted reference cores, which count inside the loop; the parity
-/// tests in `crates/kernels/tests/lowering.rs` pin both conventions.
+/// The lowered kernels precompute these totals once per geometry (the
+/// interior rectangle analytically, the ring around it by dry run), so
+/// they are independent of the dispatch path and of padding, and must
+/// stay bit-identical to the interpreted reference cores, which count
+/// inside the loop; the parity tests in
+/// `crates/kernels/tests/lowering.rs` pin both conventions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct OpCounts {
     /// 32-bit float multiplies.

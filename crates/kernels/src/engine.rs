@@ -324,9 +324,11 @@ impl ExecCtx {
     }
 }
 
-/// Emits the engaged kernel dispatch path as a
-/// `kernel.dispatch.<path>` gauge, so traces record which interior
-/// implementation produced them (skipped on the null sink).
+/// Emits the requested kernel dispatch path as a
+/// `kernel.dispatch.<path>` gauge, so traces record which lane
+/// implementation the forward asked for (skipped on the null sink).
+/// Individual stages may still run scalar; the engaged per-stage split
+/// is what [`CompiledNet::forward_profiled`] records.
 fn emit_dispatch(telemetry: &Telemetry, path: KernelPath) {
     if telemetry.enabled() {
         telemetry.gauge(&format!("kernel.dispatch.{}", path.name()), 1.0, "path");
@@ -410,13 +412,19 @@ impl CompiledNet {
     }
 
     /// Runs the pipeline sequentially while filling `sample` with
-    /// per-stage wall nanoseconds and op totals — the
-    /// [`StageProf`](flight_telemetry::StageProf) hook the serving
-    /// profiler uses for 1-in-N sampled requests.
+    /// per-stage wall nanoseconds, op totals, and the images each
+    /// integer conv stage ran on SIMD lane blocks vs the per-image
+    /// scalar loop — the [`StageProf`](flight_telemetry::StageProf) hook
+    /// the serving profiler uses for 1-in-N sampled requests.
+    ///
+    /// The sample's path tag is the path that actually ran: the
+    /// requested lane path if any stage engaged the lanes, `scalar`
+    /// otherwise (a batch smaller than one lane block never shows as
+    /// `avx2`).
     ///
     /// Unlike [`forward_traced`](Self::forward), this path emits no
     /// spans, no counters, and allocates nothing: each stage costs one
-    /// `Instant::now()` pair and three array stores into the
+    /// `Instant::now()` pair and a few array stores into the
     /// caller-owned scratch. Profiled forwards always take the
     /// sequential stage walk (per-stage attribution requires it); the
     /// logits are bit-identical to every other path because activations
@@ -428,10 +436,11 @@ impl CompiledNet {
         sample: &mut StageSample,
     ) -> (Tensor, OpCounts) {
         sample.reset();
-        sample.set_path(ctx.kernel_path().name());
         sample.set_images(input.dims().first().copied().unwrap_or(0) as u64);
         let mut counts = OpCounts::default();
         let mut owned: Option<Tensor> = None;
+        let mut any_lanes = false;
+        ctx.scratch.lanes.take_engaged();
         for layer in &self.layers {
             let before = counts;
             let start = std::time::Instant::now();
@@ -443,12 +452,22 @@ impl CompiledNet {
                 &mut counts,
                 &mut ctx.scratch,
             ));
-            sample.record_stage(
+            let wall_ns = start.elapsed().as_nanos() as u64;
+            let (lane, scalar) = ctx.scratch.lanes.take_engaged();
+            any_lanes |= lane > 0;
+            sample.record_kernel_stage(
                 stage_kind(layer),
-                start.elapsed().as_nanos() as u64,
+                wall_ns,
                 counts.delta(before).total(),
+                lane,
+                scalar,
             );
         }
+        sample.set_path(if any_lanes {
+            ctx.kernel_path().name()
+        } else {
+            KernelPath::Scalar.name()
+        });
         (owned.unwrap_or_else(|| input.clone()), counts)
     }
 
@@ -877,10 +896,19 @@ fn lowering_span(
 
 /// Reports how many just-quantized activation codes sit at the
 /// representable rail, as `kernel.qact.<stage>.saturated` /
-/// `.quantized` counters. The post-pass over the codes only runs with a
-/// live sink, so the null-sink hot path never pays for it.
-fn emit_saturation(telemetry: &Telemetry, stage: &'static str, codes: &[i32], bits: u32) {
-    if !telemetry.enabled() || codes.is_empty() {
+/// `.quantized` counters. `real` is the number of real codes in
+/// `codes`: a padded buffer's ring holds exact zeros, which never sit on
+/// the rail and are not counted as quantized. The post-pass over the
+/// codes only runs with a live sink, so the null-sink hot path never
+/// pays for it.
+fn emit_saturation(
+    telemetry: &Telemetry,
+    stage: &'static str,
+    codes: &[i32],
+    real: usize,
+    bits: u32,
+) {
+    if !telemetry.enabled() || real == 0 {
         return;
     }
     telemetry.counter(
@@ -888,17 +916,15 @@ fn emit_saturation(telemetry: &Telemetry, stage: &'static str, codes: &[i32], bi
         QuantActivations::saturation_count(codes, bits),
         "op",
     );
-    telemetry.counter(
-        &format!("kernel.qact.{stage}.quantized"),
-        codes.len() as u64,
-        "op",
-    );
+    telemetry.counter(&format!("kernel.qact.{stage}.quantized"), real as u64, "op");
 }
 
 /// One integer conv over `x` with whichever datapath the layer compiled
-/// to, quantizing activations per image through the scratch buffers.
-/// `stage` labels the quantization site (`"conv"` / `"linear"`) in the
-/// saturation counters.
+/// to. Integer datapaths quantize each image straight into a zero-padded
+/// plane in the scratch buffers — the one place padding happens — and
+/// the lowered core sweeps the whole output map over it. `stage` labels
+/// the quantization site (`"conv"` / `"linear"`) in the saturation
+/// counters.
 #[allow(clippy::too_many_arguments)]
 fn conv_stage(
     weights: &IntWeights,
@@ -911,19 +937,25 @@ fn conv_stage(
     counts: &mut OpCounts,
     scratch: &mut Scratch,
 ) -> Tensor {
-    let d = x.dims();
-    assert_eq!(d.len(), 4, "conv input must be [n, c, h, w]");
+    // Quantizes `x` into padded planes and shapes the output tensor.
+    let prepare = |scratch: &mut Scratch, kernel: usize, filters: usize| {
+        let d = x.dims();
+        assert_eq!(d.len(), 4, "conv input must be [n, c, h, w]");
+        QuantActivations::quantize_padded_into(
+            x,
+            act_bits,
+            padding,
+            &mut scratch.codes,
+            &mut scratch.scales,
+        );
+        emit_saturation(telemetry, stage, &scratch.codes, x.len(), act_bits);
+        let geom = Conv2dGeometry::new(d[1], d[2], d[3], kernel, stride, padding);
+        let out = Tensor::zeros(&[d[0], filters, geom.out_h, geom.out_w]);
+        (geom, out)
+    };
     match weights {
         IntWeights::Shift(kernel) => {
-            QuantActivations::quantize_per_image_into(
-                x,
-                act_bits,
-                &mut scratch.codes,
-                &mut scratch.scales,
-            );
-            emit_saturation(telemetry, stage, &scratch.codes, act_bits);
-            let geom = Conv2dGeometry::new(d[1], d[2], d[3], kernel.kernel_size(), stride, padding);
-            let mut out = Tensor::zeros(&[d[0], kernel.filters(), geom.out_h, geom.out_w]);
+            let (geom, mut out) = prepare(scratch, kernel.kernel_size(), kernel.filters());
             let span = lowering_span(telemetry, kernel.lowering_stats(&geom));
             shift_add_conv_core(
                 &scratch.codes,
@@ -938,15 +970,7 @@ fn conv_stage(
             out
         }
         IntWeights::Fixed(fw) => {
-            QuantActivations::quantize_per_image_into(
-                x,
-                act_bits,
-                &mut scratch.codes,
-                &mut scratch.scales,
-            );
-            emit_saturation(telemetry, stage, &scratch.codes, act_bits);
-            let geom = Conv2dGeometry::new(d[1], d[2], d[3], fw.dims()[2], stride, padding);
-            let mut out = Tensor::zeros(&[d[0], fw.dims()[0], geom.out_h, geom.out_w]);
+            let (geom, mut out) = prepare(scratch, fw.dims()[2], fw.dims()[0]);
             let span = lowering_span(telemetry, fw.lowering_stats(&geom));
             fixed_point_conv_core(
                 &scratch.codes,
@@ -1045,7 +1069,7 @@ pub(crate) fn run_layer(
                 &mut scratch.codes,
                 &mut scratch.scales,
             );
-            emit_saturation(telemetry, "requant", &scratch.codes, 8);
+            emit_saturation(telemetry, "requant", &scratch.codes, x.len(), 8);
             let n = x.dims()[0];
             let stride = x.len().checked_div(n).unwrap_or(0);
             let mut data = Vec::with_capacity(x.len());

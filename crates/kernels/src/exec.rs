@@ -32,12 +32,13 @@ use crate::simd::{KernelPath, LaneCtx};
 /// activation plane once and are reused from then on.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
-    /// Integer activation codes, row-major over the whole chunk.
+    /// Integer activation codes, row-major over the whole chunk; conv
+    /// stages write one zero-padded plane per image here.
     pub codes: Vec<i32>,
     /// One quantization scale per image.
     pub scales: Vec<f32>,
     /// Kernel dispatch path plus the lane-major blocked arena the SIMD
-    /// interior reads.
+    /// lanes read.
     pub lanes: LaneCtx,
 }
 

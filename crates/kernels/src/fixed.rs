@@ -2,25 +2,25 @@
 //!
 //! Like the shift-add path (`shift.rs`), the interpreted tap loop is
 //! lowered once per [`Conv2dGeometry`] into a static schedule: per-tap
-//! flat input offsets precomputed in `(channel, row, column)` order, the
-//! output map split into a branchless interior and a checked border, and
-//! op accounting hoisted out of the loops (interior analytic, border
-//! from a one-time dry run). The interpreted loop is retained as
-//! [`fixed_point_conv_reference`] — the parity oracle and bench
-//! baseline. The fixed-point cost convention is unchanged: one integer
-//! multiply and one accumulate per executed tap (see [`OpCounts`]).
+//! flat offsets into the zero-padded input plane `[c, h + 2p, w + 2p]`
+//! precomputed in `(channel, row, column)` order, so every output
+//! position — border ring included — runs one branchless
+//! load → multiply → accumulate loop, and op accounting hoisted out of
+//! the loops (a one-time per-geometry count of the taps on real input).
+//! The interpreted loop is retained as [`fixed_point_conv_reference`] —
+//! the parity oracle and bench baseline. The fixed-point cost convention
+//! is unchanged: one integer multiply and one accumulate per executed
+//! tap (see [`OpCounts`]).
 
 use std::sync::{Arc, Mutex};
 
 use flight_tensor::{Conv2dGeometry, Tensor};
 
 use crate::counts::OpCounts;
-use crate::lower::{for_each_border_position, interior_rect, InteriorRect};
+use crate::lower::{executed_taps, interior_rect, pad_planes, PaddedPlane, Sweep};
 use crate::qact::QuantActivations;
 use crate::shift::LoweringStats;
-use crate::simd::{
-    active_path, pack_lane_block, run_fixed_rect, BlockGeom, KernelPath, LaneCtx, LANES,
-};
+use crate::simd::{active_path, pack_lane_block, run_fixed_block, KernelPath, LaneCtx, LANES};
 
 type LoweredCache = Arc<Mutex<Vec<(Conv2dGeometry, Arc<LoweredFixed>)>>>;
 
@@ -80,15 +80,16 @@ impl FixedWeights {
         &self.dims
     }
 
-    /// The interior/border decomposition these weights use for `geom`
+    /// The interior/border split of `geom` plus these weights' tap totals
     /// (forces the lowering, which is cached). For the dense fixed-point
     /// path every filter has `c · k · k` taps.
     pub fn lowering_stats(&self, geom: &Conv2dGeometry) -> LoweringStats {
-        let lowered = self.lowered(geom);
+        self.lowered(geom);
         let (f, c, kh, kw) = (self.dims[0], self.dims[1], self.dims[2], self.dims[3]);
+        let interior_positions = interior_rect(geom).positions();
         LoweringStats {
-            interior_positions: lowered.interior_positions,
-            border_positions: lowered.border_positions,
+            interior_positions,
+            border_positions: geom.out_positions() - interior_positions,
             total_taps: f * c * kh * kw,
             filters: f,
         }
@@ -107,43 +108,27 @@ impl FixedWeights {
     }
 }
 
-/// One dense tap on the checked border path: channel plane base plus the
-/// tap's kernel-window deltas (the position loop folds padding into its
-/// window origin).
-#[derive(Debug, Clone, Copy)]
-struct BorderTap {
-    /// `ch · h · w` — flat base of the tap's input channel plane.
-    plane: u32,
-    /// Kernel row `ki`.
-    di: i32,
-    /// Kernel column `kj`.
-    dj: i32,
-}
-
 /// [`FixedWeights`] lowered against one concrete geometry.
 #[derive(Debug)]
 struct LoweredFixed {
-    rect: InteriorRect,
+    plane: PaddedPlane,
+    sweep: Sweep,
     /// Per tap of one filter volume (`c · k · k` entries, in weight
-    /// order): flat input offset relative to the window origin.
+    /// order): flat offset into the padded plane relative to the window
+    /// origin. Dense weights share one offset table across filters.
     offsets: Vec<u32>,
-    /// Per tap: checked-path decoding (parallel to `offsets`).
-    border: Vec<BorderTap>,
     /// Per-image op totals; the fixed convention is one multiply and one
     /// add per executed tap, so the two counts are equal.
     macs_per_image: u64,
-    interior_positions: usize,
-    border_positions: usize,
     /// Worst-case per-filter magnitude multiplier `max_f Σ_taps |w|`: an
-    /// interior accumulator is bounded by `max |code| · lane_weight`,
-    /// which must fit i32 for the lane path to match the scalar i64
-    /// accumulation bit-for-bit.
+    /// accumulator is bounded by `max |code| · lane_weight`, which must
+    /// fit i32 for the lane path to match the scalar i64 accumulation
+    /// bit-for-bit.
     lane_weight: u64,
 }
 
 impl LoweredFixed {
     fn build(weights: &FixedWeights, geom: &Conv2dGeometry) -> LoweredFixed {
-        let (h, w) = (geom.in_h, geom.in_w);
         let (f, c, kh, kw) = (
             weights.dims[0],
             weights.dims[1],
@@ -151,50 +136,27 @@ impl LoweredFixed {
             weights.dims[3],
         );
         debug_assert_eq!(kh, geom.kernel, "geometry/kernel size mismatch");
+        let plane = PaddedPlane::of(geom);
         assert!(
-            geom.in_channels * h * w <= u32::MAX as usize,
-            "input volume too large for lowered offsets"
+            plane.len <= u32::MAX as usize,
+            "padded input volume too large for lowered offsets"
         );
-        let p = geom.padding as i32;
-        let rect = interior_rect(geom);
 
-        // Unlike the sparse shift taps, the fixed filter volume is dense:
-        // offsets are the same for every filter, in weight-code order.
         let mut offsets = Vec::with_capacity(c * kh * kw);
-        let mut border = Vec::with_capacity(c * kh * kw);
         for ch in 0..c {
             for ki in 0..kh {
                 for kj in 0..kw {
-                    offsets.push((ch * h * w + ki * w + kj) as u32);
-                    border.push(BorderTap {
-                        plane: (ch * h * w) as u32,
-                        di: ki as i32,
-                        dj: kj as i32,
-                    });
+                    offsets.push(plane.tap_offset(ch, ki, kj));
                 }
             }
         }
 
-        // Interior accounting is analytic; border is a one-time dry run
-        // of the checked path. Executed taps are filter-independent, so
-        // count once per position and multiply by `f`.
-        let interior_positions = rect.positions();
-        let mut macs = (f * c * kh * kw * interior_positions) as u64;
-        let mut border_positions = 0usize;
-        for_each_border_position(geom, &rect, |oi, oj| {
-            border_positions += 1;
-            let ii0 = (oi * geom.stride) as i32 - p;
-            let jj0 = (oj * geom.stride) as i32 - p;
-            let executed = border
-                .iter()
-                .filter(|bt| {
-                    let ii = ii0 + bt.di;
-                    let jj = jj0 + bt.dj;
-                    (0..h as i32).contains(&ii) && (0..w as i32).contains(&jj)
-                })
-                .count() as u64;
-            macs += executed * f as u64;
-        });
+        // Executed taps are channel- and filter-independent: count one
+        // channel's `k × k` window and scale by `c · f`.
+        let window: Vec<(usize, usize)> = (0..kh)
+            .flat_map(|ki| (0..kw).map(move |kj| (ki, kj)))
+            .collect();
+        let (executed, _) = executed_taps(geom, &window);
 
         // Lane-eligibility bound: the largest per-filter Σ|w| (see the
         // field docs). The i32 lane multiply itself cannot wrap either
@@ -211,22 +173,20 @@ impl LoweredFixed {
         }
 
         LoweredFixed {
-            rect,
+            plane,
+            sweep: Sweep::of(geom),
             offsets,
-            border,
-            macs_per_image: macs,
-            interior_positions,
-            border_positions,
+            macs_per_image: executed * (c * f) as u64,
             lane_weight,
         }
     }
 
     /// The path this call actually runs (see `LoweredShift::lane_path`):
-    /// the requested lane path only when the batch fills a lane block,
-    /// the interior is nonempty, and i32 lane accumulation provably
-    /// cannot wrap; [`KernelPath::Scalar`] otherwise.
+    /// the requested lane path only when the batch fills a lane block
+    /// and i32 lane accumulation provably cannot wrap;
+    /// [`KernelPath::Scalar`] otherwise.
     fn lane_path(&self, requested: KernelPath, codes: &[i32], n: usize) -> KernelPath {
-        if requested == KernelPath::Scalar || n < LANES || self.interior_positions == 0 {
+        if requested == KernelPath::Scalar || n < LANES {
             return KernelPath::Scalar;
         }
         let max_abs = codes
@@ -240,133 +200,78 @@ impl LoweredFixed {
         requested
     }
 
-    /// Executes the lowered program: lane-blocked SIMD interior where
-    /// eligible (full blocks of [`LANES`] images), scalar interior MACs
-    /// otherwise, checked scalar border always. Writes outputs only —
-    /// accounting is precomputed and dispatch-invariant.
+    /// Executes the lowered program over padded planes: full blocks of
+    /// [`LANES`] images on the SIMD lanes where eligible, every other
+    /// image on the per-image scalar loop; both sweep the whole output
+    /// map. Writes outputs only — accounting is precomputed and
+    /// dispatch-invariant — and notes the engaged split in `lanes`.
     fn run(
         &self,
         weights: &FixedWeights,
-        codes_in: &[i32],
+        planes: &[i32],
         scales: &[f32],
-        geom: &Conv2dGeometry,
         out: &mut [f32],
         lanes: &mut LaneCtx,
     ) {
         let n = scales.len();
-        let path = self.lane_path(lanes.path(), codes_in, n);
+        let path = self.lane_path(lanes.path(), planes, n);
         let lane_images = if path == KernelPath::Scalar {
             0
         } else {
             n - n % LANES
         };
+        let plane = self.plane.len;
+        let (f, ckk) = (weights.dims[0], self.offsets.len());
+        let positions = self.sweep.positions();
+        let img_stride = f * positions;
 
-        if lane_images > 0 {
-            let chw = geom.in_channels * geom.in_h * geom.in_w;
-            let (f, ckk) = (weights.dims[0], self.offsets.len());
-            let img_stride = f * geom.out_h * geom.out_w;
-            let g = BlockGeom {
-                rect: self.rect,
-                stride: geom.stride,
-                padding: geom.padding,
-                in_w: geom.in_w,
-                out_w: geom.out_w,
-            };
-            for b0 in (0..lane_images).step_by(LANES) {
-                pack_lane_block(
-                    &codes_in[b0 * chw..(b0 + LANES) * chw],
-                    chw,
-                    &mut lanes.block,
-                );
-                let mut out_scales = [0f32; LANES];
-                for (l, slot) in out_scales.iter_mut().enumerate() {
-                    *slot = scales[b0 + l] * weights.scale;
-                }
-                for fi in 0..f {
-                    run_fixed_rect(
-                        path,
-                        &lanes.block,
-                        &self.offsets,
-                        &weights.codes[fi * ckk..(fi + 1) * ckk],
-                        &g,
-                        out,
-                        (b0 * f + fi) * geom.out_h * geom.out_w,
-                        img_stride,
-                        &out_scales,
-                    );
-                }
+        for b0 in (0..lane_images).step_by(LANES) {
+            pack_lane_block(
+                &planes[b0 * plane..(b0 + LANES) * plane],
+                plane,
+                &mut lanes.block,
+            );
+            let mut out_scales = [0f32; LANES];
+            for (l, slot) in out_scales.iter_mut().enumerate() {
+                *slot = scales[b0 + l] * weights.scale;
             }
-            // The border ring of the lane-covered images stays scalar.
-            self.run_scalar(weights, codes_in, scales, geom, out, 0..lane_images, false);
+            for fi in 0..f {
+                run_fixed_block(
+                    path,
+                    &lanes.block,
+                    &self.offsets,
+                    &weights.codes[fi * ckk..(fi + 1) * ckk],
+                    &self.sweep,
+                    out,
+                    (b0 * f + fi) * positions,
+                    img_stride,
+                    &out_scales,
+                );
+            }
         }
 
         // Remnant images (or the whole batch when the lane path is off)
-        // run the per-image scalar path.
-        self.run_scalar(weights, codes_in, scales, geom, out, lane_images..n, true);
-    }
-
-    /// The per-image scalar path over a range of images: i64-accumulated
-    /// interior (when `include_interior`) plus the checked border.
-    #[allow(clippy::too_many_arguments)]
-    fn run_scalar(
-        &self,
-        weights: &FixedWeights,
-        codes_in: &[i32],
-        scales: &[f32],
-        geom: &Conv2dGeometry,
-        out: &mut [f32],
-        images: std::ops::Range<usize>,
-        include_interior: bool,
-    ) {
-        let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
-        let chw = c * h * w;
-        let (stride, padding) = (geom.stride, geom.padding);
-        let (f, ckk) = (weights.dims[0], self.offsets.len());
-        let (out_h, out_w) = (geom.out_h, geom.out_w);
-        let rect = self.rect;
-        let wcodes = &weights.codes;
-
-        for b in images {
+        // run per image: load, multiply, accumulate.
+        for b in lane_images..n {
             let out_scale = scales[b] * weights.scale;
-            let img = &codes_in[b * chw..(b + 1) * chw];
+            let img = &planes[b * plane..(b + 1) * plane];
             for fi in 0..f {
-                let filter = &wcodes[fi * ckk..(fi + 1) * ckk];
-
-                // Interior: no padding branch, no index decode, no
-                // per-tap accounting — load, multiply, accumulate.
-                // Skipped when a lane block already wrote these bits.
-                if include_interior {
-                    for oi in rect.oi_lo..rect.oi_hi {
-                        let out_row = ((b * f + fi) * out_h + oi) * out_w;
-                        let in_row = (oi * stride - padding) * w;
-                        for oj in rect.oj_lo..rect.oj_hi {
-                            let base = in_row + oj * stride - padding;
-                            let mut acc: i64 = 0;
-                            for (&o, &wv) in self.offsets.iter().zip(filter) {
-                                acc += img[base + o as usize] as i64 * wv as i64;
-                            }
-                            out[out_row + oj] = acc as f32 * out_scale;
+                let filter = &weights.codes[fi * ckk..(fi + 1) * ckk];
+                let out_plane = &mut out[(b * f + fi) * positions..(b * f + fi + 1) * positions];
+                let mut slot = out_plane.iter_mut();
+                for oi in 0..self.sweep.out_h {
+                    for oj in 0..self.sweep.out_w {
+                        let base = self.sweep.origin(oi, oj);
+                        let mut acc: i64 = 0;
+                        for (&o, &wv) in self.offsets.iter().zip(filter) {
+                            acc += img[base + o as usize] as i64 * wv as i64;
                         }
+                        *slot.next().expect("one slot per position") = acc as f32 * out_scale;
                     }
                 }
-
-                // Border: the checked path, on the thin frame only.
-                for_each_border_position(geom, &rect, |oi, oj| {
-                    let ii0 = (oi * stride) as i32 - padding as i32;
-                    let jj0 = (oj * stride) as i32 - padding as i32;
-                    let mut acc: i64 = 0;
-                    for (bt, &wv) in self.border.iter().zip(filter) {
-                        let ii = ii0 + bt.di;
-                        let jj = jj0 + bt.dj;
-                        if (0..h as i32).contains(&ii) && (0..w as i32).contains(&jj) {
-                            let a = img[bt.plane as usize + ii as usize * w + jj as usize];
-                            acc += a as i64 * wv as i64;
-                        }
-                    }
-                    out[((b * f + fi) * out_h + oi) * out_w + oj] = acc as f32 * out_scale;
-                });
             }
         }
+        lanes.note_engaged(lane_images, n - lane_images);
     }
 }
 
@@ -404,8 +309,11 @@ pub fn fixed_point_conv_with_path(
         weights,
         stride,
         padding,
-        fixed_point_conv_core,
-        LaneCtx::with_path(path),
+        |codes, scales, geom, out, counts| {
+            let planes = pad_planes(codes, geom);
+            let mut lanes = LaneCtx::with_path(path);
+            fixed_point_conv_core(&planes, scales, geom, weights, out, counts, &mut lanes);
+        },
     )
 }
 
@@ -424,21 +332,20 @@ pub fn fixed_point_conv_reference(
         weights,
         stride,
         padding,
-        fixed_point_conv_reference_core,
-        LaneCtx::with_path(KernelPath::Scalar),
+        |codes, scales, geom, out, counts| {
+            fixed_point_conv_reference_core(codes, scales, geom, weights, out, counts)
+        },
     )
 }
 
-type FixedCore =
-    fn(&[i32], &[f32], &Conv2dGeometry, &FixedWeights, &mut [f32], &mut OpCounts, &mut LaneCtx);
-
+/// Shapes the output of a public conv call and runs `core` over the
+/// activations' unpadded codes with the shared scale repeated per image.
 fn fixed_point_conv_with(
     act: &QuantActivations,
     weights: &FixedWeights,
     stride: usize,
     padding: usize,
-    core: FixedCore,
-    mut lanes: LaneCtx,
+    core: impl FnOnce(&[i32], &[f32], &Conv2dGeometry, &mut [f32], &mut OpCounts),
 ) -> (Tensor, OpCounts) {
     let ad = act.dims();
     assert_eq!(ad.len(), 4, "activations must be [n, c, h, w]");
@@ -447,47 +354,40 @@ fn fixed_point_conv_with(
     let mut out = Tensor::zeros(&[n, weights.dims[0], geom.out_h, geom.out_w]);
     let scales = vec![act.scale(); n];
     let mut counts = OpCounts::default();
-    core(
-        act.codes(),
-        &scales,
-        &geom,
-        weights,
-        out.as_mut_slice(),
-        &mut counts,
-        &mut lanes,
-    );
+    core(act.codes(), &scales, &geom, out.as_mut_slice(), &mut counts);
     (out, counts)
 }
 
 /// Validates the shared layout contract of the conv cores (see
-/// `shift_add_conv_core` in `shift.rs`, which is identical).
+/// `check_core_shapes` in `shift.rs`): `plane` codes per image.
 fn check_core_shapes(
     codes: &[i32],
+    plane: usize,
     scales: &[f32],
     geom: &Conv2dGeometry,
     weights: &FixedWeights,
     out: &[f32],
 ) {
-    let n = scales.len();
-    let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
+    let c = geom.in_channels;
     let wd = &weights.dims;
     let (f, wc, kh, kw) = (wd[0], wd[1], wd[2], wd[3]);
     assert_eq!(kh, kw, "kernels must be square");
     assert_eq!(wc, c, "weight channels {wc} != activation channels {c}");
     assert_eq!(kh, geom.kernel, "geometry/kernel size mismatch");
-    assert_eq!(codes.len(), n * c * h * w, "codes length mismatch");
+    assert_eq!(codes.len(), scales.len() * plane, "codes length mismatch");
     assert_eq!(
         out.len(),
-        n * f * geom.out_positions(),
+        scales.len() * f * geom.out_positions(),
         "output length mismatch"
     );
 }
 
-/// Fixed-point convolution over raw integer codes with one scale per
-/// image — the per-worker scratch entry point of the batched execution
-/// engine (lowered path).
+/// Fixed-point convolution over zero-padded integer planes with one
+/// scale per image — the per-worker scratch entry point of the batched
+/// execution engine (lowered path; see `shift_add_conv_core` for the
+/// layout contract).
 pub(crate) fn fixed_point_conv_core(
-    codes: &[i32],
+    planes: &[i32],
     scales: &[f32],
     geom: &Conv2dGeometry,
     weights: &FixedWeights,
@@ -495,28 +395,28 @@ pub(crate) fn fixed_point_conv_core(
     counts: &mut OpCounts,
     lanes: &mut LaneCtx,
 ) {
-    check_core_shapes(codes, scales, geom, weights, out);
     let lowered = weights.lowered(geom);
-    lowered.run(weights, codes, scales, geom, out, lanes);
+    check_core_shapes(planes, lowered.plane.len, scales, geom, weights, out);
+    lowered.run(weights, planes, scales, out, lanes);
     let n = scales.len() as u64;
     counts.int_mults += n * lowered.macs_per_image;
     counts.int_adds += n * lowered.macs_per_image;
 }
 
-/// The interpreted tap loop the lowered core replaced: per-tap bounds
-/// checks and per-tap count bumps. Retained as the parity oracle.
-pub(crate) fn fixed_point_conv_reference_core(
+/// The interpreted tap loop the lowered core replaced: unpadded planes,
+/// per-tap bounds checks and per-tap count bumps. Retained as the
+/// parity oracle.
+fn fixed_point_conv_reference_core(
     codes: &[i32],
     scales: &[f32],
     geom: &Conv2dGeometry,
     weights: &FixedWeights,
     out: &mut [f32],
     counts: &mut OpCounts,
-    _lanes: &mut LaneCtx,
 ) {
-    check_core_shapes(codes, scales, geom, weights, out);
-    let n = scales.len();
     let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
+    check_core_shapes(codes, c * h * w, scales, geom, weights, out);
+    let n = scales.len();
     let wd = &weights.dims;
     let (f, kh, kw) = (wd[0], wd[2], wd[3]);
     let (stride, padding) = (geom.stride, geom.padding);

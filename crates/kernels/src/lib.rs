@@ -22,15 +22,22 @@
 //!   produces logits bit-identical to the sequential path, because
 //!   activations are quantized with one scale per image.
 //!
-//! Both integer datapaths run **lowered tap programs**: the interpreted
-//! per-tap loop is compiled once per layer geometry into precomputed
-//! flat input offsets (shift/sign packed into one `u32` per tap for the
-//! shift path), the output map is split into a branchless interior and a
-//! checked border (the `lower` module), and op accounting is hoisted out
-//! of the loops entirely. The interpreted loops are retained as
-//! [`shift_add_conv_reference`] / [`fixed_point_conv_reference`] — the
-//! parity oracles (bit-identical logits *and* counts, enforced by
-//! proptests) and the baselines of the `lowering` bench exhibit.
+//! Both integer datapaths run **lowered tap programs** over a pad-once
+//! layout: each conv stage quantizes every image straight into a
+//! zero-padded plane `[c, h + 2p, w + 2p]` (held in the engine's
+//! per-worker scratch), and each kernel is compiled once per layer
+//! geometry into flat offsets into that plane — 8 bytes per tap, with
+//! shift and sign packed into one `u32` for the shift path (the `lower`
+//! module). Every output position, border ring included, then runs one
+//! branchless program: a padding tap reads a zero and adds exactly 0.
+//! Full blocks of [`LANES`] images run it on the batch-major SIMD lanes
+//! ([`simd`]) over the whole output map; remnant images run it per
+//! image. Op accounting is hoisted out of the loops entirely (a one-time
+//! count of the taps that land on real input). The interpreted loops
+//! are retained as [`shift_add_conv_reference`] /
+//! [`fixed_point_conv_reference`] — the parity oracles (bit-identical
+//! logits *and* counts, enforced by proptests) and the baselines of the
+//! `lowering` bench exhibit.
 //!
 //! Both kernels are validated bit-for-bit against the floating-point
 //! reference convolution of the same quantized values.

@@ -1,26 +1,123 @@
-//! Shared geometry machinery for lowered conv kernels.
+//! Shared geometry machinery for lowered conv kernels: the pad-once
+//! layout.
 //!
-//! Both integer datapaths (shift-add and fixed-point) are lowered from an
-//! interpreted per-tap loop to a static schedule split by *where the
-//! receptive field lands*:
+//! Both integer datapaths (shift-add and fixed-point) read their input
+//! from **zero-padded planes**: each image's `[c, h, w]` codes sit inside
+//! a `[c, h + 2p, w + 2p]` plane whose ring of width `p` holds zeros (see
+//! [`PaddedPlane`]). Every kernel tap then lowers once to a flat offset
+//! into that plane, and every output position — the border ring
+//! included — runs the same branchless program: load, shift (or
+//! multiply), accumulate. A padding tap reads a zero and adds exactly 0,
+//! so outputs equal the clipped convolution bit for bit.
 //!
-//! * the **interior** — output positions whose full `k × k` window is
-//!   inside the input, so no tap can be clipped by padding and the inner
-//!   loop needs no bounds checks and no per-tap bookkeeping;
-//! * the **border** — the thin frame of remaining positions, which keeps
-//!   the checked path.
-//!
-//! The split depends only on the [`Conv2dGeometry`], not on the tap
-//! pattern (a conservative rectangle: a border position may still have
-//! every tap in bounds), which is what makes interior op counting purely
-//! analytic (`taps × positions`) and border counting a one-time
-//! per-geometry dry run.
+//! Op accounting still charges only taps that land on real input (see
+//! [`OpCounts`](crate::OpCounts)). That is a property of the geometry
+//! alone, so it is computed once per lowering by [`executed_taps`]: the
+//! **interior** rectangle ([`interior_rect`]), where every tap is real,
+//! is counted analytically, and only the thin ring around it is dry-run.
+//! The rectangle also feeds the `LoweringStats` geometry gauges; no
+//! execution code looks at it.
 
 use flight_tensor::Conv2dGeometry;
 
+/// The zero-padded input plane a lowered program reads:
+/// `[c, h + 2p, w + 2p]` with the real `[c, h, w]` codes at offset
+/// `(p, p)` of every channel and zeros in the ring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PaddedPlane {
+    /// Padded height `h + 2p`.
+    pub h: usize,
+    /// Padded width `w + 2p`.
+    pub w: usize,
+    /// Codes per image, `c · (h + 2p) · (w + 2p)`.
+    pub len: usize,
+}
+
+impl PaddedPlane {
+    /// The padded plane of `geom`'s input.
+    pub fn of(geom: &Conv2dGeometry) -> PaddedPlane {
+        let (h, w) = (geom.in_h + 2 * geom.padding, geom.in_w + 2 * geom.padding);
+        PaddedPlane {
+            h,
+            w,
+            len: geom.in_channels * h * w,
+        }
+    }
+
+    /// Flat offset of kernel tap `(ch, ki, kj)` relative to an output
+    /// position's window origin.
+    pub fn tap_offset(&self, ch: usize, ki: usize, kj: usize) -> u32 {
+        (ch * self.h * self.w + ki * self.w + kj) as u32
+    }
+}
+
+/// How a lowered program sweeps the output map: output `(oi, oj)` reads
+/// its window at plane offset `stride · (oi · w + oj)`, where `w` is the
+/// padded plane width. Every position, border ring included, uses this
+/// one formula.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sweep {
+    pub out_h: usize,
+    pub out_w: usize,
+    pub stride: usize,
+    /// Padded plane width.
+    pub row: usize,
+}
+
+impl Sweep {
+    /// The sweep of `geom` over its padded plane.
+    pub fn of(geom: &Conv2dGeometry) -> Sweep {
+        Sweep {
+            out_h: geom.out_h,
+            out_w: geom.out_w,
+            stride: geom.stride,
+            row: PaddedPlane::of(geom).w,
+        }
+    }
+
+    /// Plane offset of the window origin of output `(oi, oj)`.
+    #[inline(always)]
+    pub fn origin(&self, oi: usize, oj: usize) -> usize {
+        self.stride * (oi * self.row + oj)
+    }
+
+    /// Output positions per filter plane.
+    pub fn positions(&self) -> usize {
+        self.out_h * self.out_w
+    }
+}
+
+/// Copies `n` unpadded `[c, h, w]` planes into zero-padded
+/// [`PaddedPlane`]s — the public conv entry points' adapter from
+/// [`QuantActivations`](crate::QuantActivations) to the lowered layout
+/// (the engine quantizes straight into padded planes instead).
+pub(crate) fn pad_planes(codes: &[i32], geom: &Conv2dGeometry) -> Vec<i32> {
+    let (c, h, w, p) = (geom.in_channels, geom.in_h, geom.in_w, geom.padding);
+    let plane = PaddedPlane::of(geom);
+    let n = codes.len().checked_div(c * h * w).unwrap_or(0);
+    let mut out = vec![0; n * plane.len];
+    for (src, dst) in codes.chunks_exact(w).zip(padded_rows(n * c, h, w, p)) {
+        out[dst..dst + w].copy_from_slice(src);
+    }
+    out
+}
+
+/// The destination offset of every real row in `planes` consecutive
+/// `h × w` channel planes padded by `p` on each side, in source order.
+pub(crate) fn padded_rows(
+    planes: usize,
+    h: usize,
+    w: usize,
+    p: usize,
+) -> impl Iterator<Item = usize> {
+    let (hp, wp) = (h + 2 * p, w + 2 * p);
+    (0..planes).flat_map(move |plane| (0..h).map(move |i| (plane * hp + i + p) * wp + p))
+}
+
 /// The half-open interior rectangle `[oi_lo, oi_hi) × [oj_lo, oj_hi)` of
-/// output positions whose entire kernel window lies inside the input.
-/// Empty rectangles are normalized to `hi == lo`.
+/// output positions whose entire kernel window lies on real input (no
+/// tap reads the padding ring). Empty rectangles are normalized to
+/// `hi == lo`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct InteriorRect {
     pub oi_lo: usize,
@@ -36,7 +133,6 @@ impl InteriorRect {
     }
 
     /// Whether `(oi, oj)` lies in the interior.
-    #[cfg(test)]
     pub fn contains(&self, oi: usize, oj: usize) -> bool {
         (self.oi_lo..self.oi_hi).contains(&oi) && (self.oj_lo..self.oj_hi).contains(&oj)
     }
@@ -84,28 +180,36 @@ pub(crate) fn interior_rect(geom: &Conv2dGeometry) -> InteriorRect {
     }
 }
 
-/// Visits every output position *outside* `rect` exactly once, row-major:
-/// the full rows above and below the interior band, plus the left/right
-/// column strips of the interior rows.
-pub(crate) fn for_each_border_position(
-    geom: &Conv2dGeometry,
-    rect: &InteriorRect,
-    mut visit: impl FnMut(usize, usize),
-) {
+/// Executed-tap accounting of one filter's taps (`(ki, kj)` kernel
+/// coordinates) over every output position of `geom`: returns
+/// `(executed, active)`, the taps that read real input summed over
+/// positions, and the positions where at least one did. A tap on the
+/// zero ring costs nothing under the [`OpCounts`](crate::OpCounts)
+/// conventions, so this — not `taps × positions` — is what a lowered
+/// program is charged. Interior positions are counted analytically;
+/// only the ring around them is dry-run.
+pub(crate) fn executed_taps(geom: &Conv2dGeometry, taps: &[(usize, usize)]) -> (u64, u64) {
+    let rect = interior_rect(geom);
+    let interior = rect.positions() as u64;
+    let mut executed = taps.len() as u64 * interior;
+    let mut active = if taps.is_empty() { 0 } else { interior };
+    let real = |o: usize, k: usize, dim: usize| {
+        (geom.padding..geom.padding + dim).contains(&(o * geom.stride + k))
+    };
     for oi in 0..geom.out_h {
-        if (rect.oi_lo..rect.oi_hi).contains(&oi) {
-            for oj in 0..rect.oj_lo {
-                visit(oi, oj);
+        for oj in 0..geom.out_w {
+            if rect.contains(oi, oj) {
+                continue;
             }
-            for oj in rect.oj_hi..geom.out_w {
-                visit(oi, oj);
-            }
-        } else {
-            for oj in 0..geom.out_w {
-                visit(oi, oj);
-            }
+            let t = taps
+                .iter()
+                .filter(|&&(ki, kj)| real(oi, ki, geom.in_h) && real(oj, kj, geom.in_w))
+                .count() as u64;
+            executed += t;
+            active += u64::from(t > 0);
         }
     }
+    (executed, active)
 }
 
 #[cfg(test)]
@@ -117,7 +221,7 @@ mod tests {
         for k in [1usize, 3, 5] {
             for stride in [1usize, 2] {
                 for padding in [0usize, 1, 2] {
-                    for (h, w) in [(5usize, 7usize), (7, 5), (9, 9), (6, 11)] {
+                    for (h, w) in [(5usize, 7usize), (7, 5), (9, 9), (6, 11), (2, 2)] {
                         if h + 2 * padding >= k && w + 2 * padding >= k {
                             out.push(Conv2dGeometry::new(2, h, w, k, stride, padding));
                         }
@@ -157,24 +261,72 @@ mod tests {
     }
 
     #[test]
-    fn border_iteration_is_the_exact_complement() {
+    fn executed_taps_match_a_signed_bounds_dry_run() {
         for geom in geoms() {
-            let rect = interior_rect(&geom);
-            let mut seen = vec![false; geom.out_positions()];
-            let mut border = 0usize;
-            for_each_border_position(&geom, &rect, |oi, oj| {
-                let idx = oi * geom.out_w + oj;
-                assert!(!seen[idx], "border position ({oi},{oj}) visited twice");
-                assert!(!rect.contains(oi, oj), "interior leaked into the border");
-                seen[idx] = true;
-                border += 1;
-            });
+            let k = geom.kernel;
+            // A sparse tap pattern: every other kernel cell.
+            let taps: Vec<(usize, usize)> = (0..k * k)
+                .filter(|i| i % 2 == 0)
+                .map(|i| (i / k, i % k))
+                .collect();
+            let (mut executed, mut active) = (0u64, 0u64);
+            for oi in 0..geom.out_h {
+                for oj in 0..geom.out_w {
+                    let t = taps
+                        .iter()
+                        .filter(|&&(ki, kj)| {
+                            let ii = (oi * geom.stride + ki) as isize - geom.padding as isize;
+                            let jj = (oj * geom.stride + kj) as isize - geom.padding as isize;
+                            (0..geom.in_h as isize).contains(&ii)
+                                && (0..geom.in_w as isize).contains(&jj)
+                        })
+                        .count() as u64;
+                    executed += t;
+                    active += u64::from(t > 0);
+                }
+            }
             assert_eq!(
-                border + rect.positions(),
-                geom.out_positions(),
-                "geom {geom:?}: split must partition the output"
+                executed_taps(&geom, &taps),
+                (executed, active),
+                "geom {geom:?}"
             );
         }
+    }
+
+    #[test]
+    fn padded_planes_keep_codes_at_p_p_and_zeros_in_the_ring() {
+        let geom = Conv2dGeometry::new(2, 2, 3, 3, 1, 1);
+        let codes: Vec<i32> = (1..=2 * 2 * 2 * 3).collect(); // n = 2
+        let padded = pad_planes(&codes, &geom);
+        let plane = PaddedPlane::of(&geom);
+        assert_eq!((plane.h, plane.w, plane.len), (4, 5, 2 * 4 * 5));
+        assert_eq!(padded.len(), 2 * plane.len);
+        assert_eq!(padded.iter().filter(|&&c| c != 0).count(), codes.len());
+        for b in 0..2 {
+            for ch in 0..2 {
+                for i in 0..2 {
+                    for j in 0..3 {
+                        let src = ((b * 2 + ch) * 2 + i) * 3 + j;
+                        let dst = b * plane.len + plane.tap_offset(ch, i + 1, j + 1) as usize;
+                        assert_eq!(padded[dst], codes[src]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_origins_step_by_stride_over_the_padded_row() {
+        let geom = Conv2dGeometry::new(1, 7, 7, 3, 2, 1);
+        let sweep = Sweep::of(&geom);
+        assert_eq!(sweep.row, 9);
+        assert_eq!(sweep.origin(0, 0), 0);
+        assert_eq!(sweep.origin(0, 1), 2);
+        assert_eq!(sweep.origin(1, 0), 18);
+        // The last window ends on the last padded row and column.
+        let last = sweep.origin(geom.out_h - 1, geom.out_w - 1)
+            + PaddedPlane::of(&geom).tap_offset(0, 2, 2) as usize;
+        assert_eq!(last, PaddedPlane::of(&geom).len - 1);
     }
 
     #[test]
@@ -187,12 +339,12 @@ mod tests {
     #[test]
     fn tiny_input_is_all_border() {
         // 3x3 input, 5x5 kernel, padding 1: no position has the full
-        // window inside.
+        // window inside, yet every position still executes real taps.
         let geom = Conv2dGeometry::new(1, 3, 3, 5, 1, 1);
-        let rect = interior_rect(&geom);
-        assert_eq!(rect.positions(), 0);
-        let mut border = 0;
-        for_each_border_position(&geom, &rect, |_, _| border += 1);
-        assert_eq!(border, geom.out_positions());
+        assert_eq!(interior_rect(&geom).positions(), 0);
+        let taps: Vec<(usize, usize)> = (0..25).map(|i| (i / 5, i % 5)).collect();
+        let (executed, active) = executed_taps(&geom, &taps);
+        assert_eq!(active, geom.out_positions() as u64);
+        assert!(executed < 25 * geom.out_positions() as u64);
     }
 }

@@ -2,12 +2,68 @@
 
 use flight_tensor::Tensor;
 
+/// The symmetric scale `max|x| / qmax` of one slab — `1.0` for an
+/// all-zero slab, and NaN (the refusal marker) when the slab holds a
+/// non-finite value.
+///
+/// The bit pattern of `|v|` orders like `|v|` itself, and every inf/NaN
+/// pattern sorts above every finite one, so one integer max both finds
+/// the maximum and detects non-finite input (a float max would silently
+/// skip NaNs).
+fn slab_scale(slab: &[f32], qmax: f32) -> f32 {
+    let bits = slab
+        .iter()
+        .fold(0u32, |m, v| m.max(v.to_bits() & 0x7fff_ffff));
+    if bits >= f32::INFINITY.to_bits() {
+        f32::NAN
+    } else if bits == 0 {
+        1.0
+    } else {
+        f32::from_bits(bits) / qmax
+    }
+}
+
+/// The code of `v` on the grid `scale`, clamped to `±qmax`. Callers
+/// never pass a NaN scale: a refused slab keeps all-zero codes.
+fn code(v: f32, scale: f32, qmax: f32) -> i32 {
+    (v / scale).round().clamp(-qmax, qmax) as i32
+}
+
+/// The largest code magnitude of a `bits`-bit signed grid.
+fn qmax(bits: u32) -> f32 {
+    assert!(bits >= 2, "activation quantization needs at least 2 bits");
+    ((1u32 << (bits - 1)) - 1) as f32
+}
+
+/// Quantizes `slab` into `codes` (same length) on its own scale and
+/// returns the scale; a non-finite slab is refused — zero codes and a
+/// NaN scale.
+fn quantize_slab(slab: &[f32], qmax: f32, codes: &mut [i32]) -> f32 {
+    let scale = slab_scale(slab, qmax);
+    if scale.is_nan() {
+        codes.fill(0);
+    } else {
+        for (c, &v) in codes.iter_mut().zip(slab) {
+            *c = code(v, scale, qmax);
+        }
+    }
+    scale
+}
+
 /// A batch of activations quantized to signed integers with one shared
 /// scale: `x ≈ data[i] · scale`.
 ///
 /// Matches the semantics of `flightnn::layers::ActQuant` (symmetric,
 /// per-tensor dynamic range), but keeps the integer codes so the integer
 /// kernels can consume them directly.
+///
+/// # Non-finite input
+///
+/// Every quantizer here **refuses** a tensor (or, per image, a slab)
+/// holding ±inf or NaN rather than deriving codes from a non-finite
+/// scale: its codes are all zero and its scale is NaN. Everything
+/// computed from a refused slab is therefore NaN — it can never pass
+/// for a finite result — while per-image batchmates are unaffected.
 ///
 /// # Example
 ///
@@ -20,6 +76,10 @@ use flight_tensor::Tensor;
 /// assert_eq!(q.codes()[0], 127);
 /// let back = q.dequantize();
 /// assert!(back.allclose(&x, 1.0 / 127.0));
+///
+/// let bad = QuantActivations::quantize(&Tensor::from_slice(&[1.0, f32::INFINITY]), 8);
+/// assert!(bad.scale().is_nan());
+/// assert_eq!(bad.codes(), &[0, 0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantActivations {
@@ -36,15 +96,8 @@ impl QuantActivations {
     ///
     /// Panics if `bits < 2`.
     pub fn quantize(x: &Tensor, bits: u32) -> Self {
-        assert!(bits >= 2, "activation quantization needs at least 2 bits");
-        let qmax = ((1u32 << (bits - 1)) - 1) as f32;
-        let max = x.abs_max();
-        let scale = if max == 0.0 { 1.0 } else { max / qmax };
-        let codes = x
-            .as_slice()
-            .iter()
-            .map(|&v| (v / scale).round().clamp(-qmax, qmax) as i32)
-            .collect();
+        let mut codes = vec![0; x.len()];
+        let scale = quantize_slab(x.as_slice(), qmax(bits), &mut codes);
         QuantActivations {
             codes,
             scale,
@@ -61,17 +114,10 @@ impl QuantActivations {
     ///
     /// Panics if `bits < 2`.
     pub fn quantize_slice_into(x: &[f32], bits: u32, codes: &mut Vec<i32>) -> f32 {
-        assert!(bits >= 2, "activation quantization needs at least 2 bits");
-        let qmax = ((1u32 << (bits - 1)) - 1) as f32;
-        let max = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        let scale = if max == 0.0 { 1.0 } else { max / qmax };
+        let qmax = qmax(bits);
         codes.clear();
-        codes.reserve(x.len());
-        codes.extend(
-            x.iter()
-                .map(|&v| (v / scale).round().clamp(-qmax, qmax) as i32),
-        );
-        scale
+        codes.resize(x.len(), 0);
+        quantize_slab(x, qmax, codes)
     }
 
     /// Quantizes each image of a `[n, …]` batch independently: image `b`
@@ -93,25 +139,74 @@ impl QuantActivations {
         codes: &mut Vec<i32>,
         scales: &mut Vec<f32>,
     ) {
-        assert!(bits >= 2, "activation quantization needs at least 2 bits");
+        let qmax = qmax(bits);
         assert!(!x.dims().is_empty(), "batch tensor needs a leading dim");
         let n = x.dims()[0];
-        let qmax = ((1u32 << (bits - 1)) - 1) as f32;
         let stride = x.len().checked_div(n).unwrap_or(0);
-        let data = x.as_slice();
         codes.clear();
-        codes.reserve(data.len());
+        codes.resize(x.len(), 0);
         scales.clear();
-        scales.reserve(n);
-        for b in 0..n {
-            let slab = &data[b * stride..(b + 1) * stride];
-            let max = slab.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            let scale = if max == 0.0 { 1.0 } else { max / qmax };
+        if stride == 0 {
+            scales.resize(n, 1.0);
+            return;
+        }
+        scales.extend(
+            x.as_slice()
+                .chunks_exact(stride)
+                .zip(codes.chunks_exact_mut(stride))
+                .map(|(slab, dst)| quantize_slab(slab, qmax, dst)),
+        );
+    }
+
+    /// [`quantize_per_image_into`](Self::quantize_per_image_into) for a
+    /// `[n, c, h, w]` batch, writing every image as a zero-padded
+    /// `[c, h + 2·padding, w + 2·padding]` plane — the layout the lowered
+    /// conv kernels read, so each conv stage pads once, while quantizing.
+    /// Scales are per image and unaffected by the padding; the ring codes
+    /// are exact zeros, so rail counts such as
+    /// [`saturation_count`](Self::saturation_count) over the padded
+    /// buffer equal those over the real codes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits < 2` or `x` is not rank 4.
+    pub fn quantize_padded_into(
+        x: &Tensor,
+        bits: u32,
+        padding: usize,
+        codes: &mut Vec<i32>,
+        scales: &mut Vec<f32>,
+    ) {
+        if padding == 0 {
+            return Self::quantize_per_image_into(x, bits, codes, scales);
+        }
+        let qmax = qmax(bits);
+        let d = x.dims();
+        assert_eq!(d.len(), 4, "padded quantization needs [n, c, h, w]");
+        let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
+        let plane = c * (h + 2 * padding) * (w + 2 * padding);
+        codes.clear();
+        codes.resize(n * plane, 0);
+        scales.clear();
+        if c * h * w == 0 {
+            scales.resize(n, 1.0);
+            return;
+        }
+        for (b, slab) in x.as_slice().chunks_exact(c * h * w).enumerate() {
+            let scale = slab_scale(slab, qmax);
             scales.push(scale);
-            codes.extend(
-                slab.iter()
-                    .map(|&v| (v / scale).round().clamp(-qmax, qmax) as i32),
-            );
+            if scale.is_nan() {
+                continue;
+            }
+            let img = &mut codes[b * plane..(b + 1) * plane];
+            for (row, dst) in slab
+                .chunks_exact(w)
+                .zip(crate::lower::padded_rows(c, h, w, padding))
+            {
+                for (slot, &v) in img[dst..dst + w].iter_mut().zip(row) {
+                    *slot = code(v, scale, qmax);
+                }
+            }
         }
     }
 
@@ -135,8 +230,7 @@ impl QuantActivations {
     ///
     /// Panics if `bits < 2`.
     pub fn saturation_count(codes: &[i32], bits: u32) -> u64 {
-        assert!(bits >= 2, "activation quantization needs at least 2 bits");
-        let qmax = ((1u32 << (bits - 1)) - 1) as i32;
+        let qmax = qmax(bits) as i32;
         codes.iter().filter(|c| c.abs() >= qmax).count() as u64
     }
 

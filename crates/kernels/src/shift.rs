@@ -13,20 +13,21 @@
 //! and sign packed into a single `u32` per tap. On first contact with a
 //! concrete [`Conv2dGeometry`] the kernel lowers that table into a
 //! per-geometry program (cached, shared across clones and worker
-//! threads):
+//! threads) of 8 bytes per tap: a flat offset into the **zero-padded
+//! input plane** `[c, h + 2p, w + 2p]` plus the packed code.
 //!
-//! * every tap gets a precomputed flat input offset relative to the
-//!   output position's window origin, so the hot loop is a branchless
-//!   load → shift → sign-fold → accumulate with no index arithmetic;
-//! * the output map splits into an **interior** (no tap can fall outside
-//!   the input; the padding branch disappears) and a thin **border**
-//!   that keeps the checked path (see the `lower` module);
-//! * op accounting is hoisted out of the loops entirely: interior counts
-//!   are `taps × positions`, computed analytically, and border counts
-//!   come from a one-time per-geometry dry run — [`OpCounts`] stays
-//!   bit-identical to the interpreted reference
-//!   ([`shift_add_conv_reference`]), which is retained as the parity
-//!   oracle and the lowering bench baseline.
+//! * Inputs are padded once, at quantization time (see the `lower`
+//!   module), so every output position — border ring included — runs
+//!   one branchless load → shift → sign-fold → accumulate loop with no
+//!   bounds checks and no index arithmetic. A tap on the ring reads a
+//!   zero and adds exactly 0.
+//! * Full blocks of [`LANES`] images run that program on the SIMD lanes
+//!   over the whole output map; remnant images run it per image.
+//! * Op accounting is hoisted out of the loops entirely: a one-time
+//!   per-geometry count of the taps that land on real input (see
+//!   [`OpCounts`]) keeps the totals bit-identical to the interpreted
+//!   reference ([`shift_add_conv_reference`]), which is retained as the
+//!   parity oracle and the lowering bench baseline.
 
 use std::sync::{Arc, Mutex};
 
@@ -35,11 +36,10 @@ use flightnn::convert::ShiftPlan;
 use flightnn::pow2::pow2_exponent;
 
 use crate::counts::OpCounts;
-use crate::lower::{for_each_border_position, interior_rect, InteriorRect};
+use crate::lower::{executed_taps, interior_rect, pad_planes, PaddedPlane, Sweep};
 use crate::qact::QuantActivations;
 use crate::simd::{
-    active_path, pack_lane_block, run_shift_rect, BlockGeom, KernelPath, LaneCtx, LANES,
-    MAX_LANE_SHIFT,
+    active_path, pack_lane_block, run_shift_block, KernelPath, LaneCtx, LANES, MAX_LANE_SHIFT,
 };
 
 /// Packed tap code layout: shift amount in the low 6 bits, sign in the
@@ -144,13 +144,15 @@ fn strict_pow2_exponent(v: f32) -> Option<i32> {
     ((e as f32).exp2() == v.abs()).then_some(e)
 }
 
-/// How a [`ShiftKernel`] decomposes one output geometry — surfaced to
+/// How one output geometry splits for a lowered kernel — surfaced to
 /// telemetry (`kernel.lowering.*` gauges) and the lowering bench exhibit.
+/// Both kinds of position run the same branchless program over the
+/// zero-padded plane; the split says how many of them read padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoweringStats {
-    /// Output positions on the branchless interior path.
+    /// Output positions whose whole kernel window lies on real input.
     pub interior_positions: usize,
-    /// Output positions on the checked border path.
+    /// Output positions whose window overlaps the zero padding ring.
     pub border_positions: usize,
     /// Total shift taps across all filters.
     pub total_taps: usize,
@@ -344,13 +346,14 @@ impl ShiftKernel {
         self.taps.len()
     }
 
-    /// The interior/border decomposition this kernel uses for `geom`
-    /// (forces the lowering, which is cached).
+    /// The interior/border split of `geom` plus this kernel's tap
+    /// totals (forces the lowering, which is cached).
     pub fn lowering_stats(&self, geom: &Conv2dGeometry) -> LoweringStats {
-        let lowered = self.lowered(geom);
+        self.lowered(geom);
+        let interior_positions = interior_rect(geom).positions();
         LoweringStats {
-            interior_positions: lowered.interior_positions,
-            border_positions: lowered.border_positions,
+            interior_positions,
+            border_positions: geom.out_positions() - interior_positions,
             total_taps: self.total_taps(),
             filters: self.filters(),
         }
@@ -370,111 +373,74 @@ impl ShiftKernel {
     }
 }
 
-/// One tap on the checked border path: channel plane base plus the tap's
-/// kernel-window deltas (the position loop folds padding into its window
-/// origin).
-#[derive(Debug, Clone, Copy)]
-struct BorderTap {
-    /// `ch · h · w` — flat base of the tap's input channel plane.
-    plane: u32,
-    /// Kernel row `ki`.
-    di: i32,
-    /// Kernel column `kj`.
-    dj: i32,
-}
-
 /// A [`ShiftKernel`] lowered against one concrete [`Conv2dGeometry`]:
-/// precomputed interior offsets, decoded border taps, and the op totals
-/// hoisted out of the runtime loops.
+/// per-tap offsets into the zero-padded plane, the packed codes, and the
+/// op totals hoisted out of the runtime loops.
 #[derive(Debug)]
 struct LoweredShift {
-    rect: InteriorRect,
-    /// Per tap: flat input offset relative to the output position's
-    /// window origin (`ch·h·w + ki·w + kj`); indexed by the kernel's
-    /// `bounds`.
+    plane: PaddedPlane,
+    sweep: Sweep,
+    /// Per tap: flat offset into the padded plane relative to the output
+    /// position's window origin; indexed by the kernel's `bounds`.
     offsets: Vec<u32>,
     /// Per tap: packed shift/sign code (parallel to `offsets`).
     codes: Vec<u32>,
-    /// Per tap: checked-path decoding (parallel to `offsets`).
-    border: Vec<BorderTap>,
-    /// Shift ops one image costs (interior analytic + border dry run).
+    /// Shift ops one image costs (taps on real input only).
     shifts_per_image: u64,
     /// Integer adds one image costs under the `k` shifts / `k−1` adds
     /// convention (see [`OpCounts`]).
     adds_per_image: u64,
-    interior_positions: usize,
-    border_positions: usize,
     /// Largest packed shift amount across all taps — the lane path
     /// requires it ≤ [`MAX_LANE_SHIFT`] so `a << s` stays defined (and
     /// bounded) in i32.
     max_shift: u32,
     /// Worst-case per-filter magnitude multiplier `max_f Σ_taps 2^s`:
-    /// an interior accumulator is bounded by `max |code| · lane_weight`,
-    /// which must fit i32 for the lane path to match the scalar i64
+    /// an accumulator is bounded by `max |code| · lane_weight`, which
+    /// must fit i32 for the lane path to match the scalar i64
     /// accumulation bit-for-bit.
     lane_weight: u64,
 }
 
 impl LoweredShift {
     fn build(kernel: &ShiftKernel, geom: &Conv2dGeometry) -> LoweredShift {
-        let (h, w) = (geom.in_h, geom.in_w);
         let k = geom.kernel;
-        let p = geom.padding as i32;
         debug_assert_eq!(k, kernel.kernel, "geometry/kernel size mismatch");
+        let plane = PaddedPlane::of(geom);
         assert!(
-            geom.in_channels * h * w <= u32::MAX as usize,
-            "input volume too large for lowered offsets"
+            plane.len <= u32::MAX as usize,
+            "padded input volume too large for lowered offsets"
         );
-        let rect = interior_rect(geom);
-
-        let mut offsets = Vec::with_capacity(kernel.taps.len());
-        let mut codes = Vec::with_capacity(kernel.taps.len());
-        let mut border = Vec::with_capacity(kernel.taps.len());
-        for tap in &kernel.taps {
+        let decode = |tap: &Tap| {
             let off = tap.offset as usize;
-            let (ch, ki, kj) = (off / (k * k), (off / k) % k, off % k);
-            offsets.push((ch * h * w + ki * w + kj) as u32);
-            codes.push(tap.code);
-            border.push(BorderTap {
-                plane: (ch * h * w) as u32,
-                di: ki as i32,
-                dj: kj as i32,
-            });
-        }
+            (off / (k * k), (off / k) % k, off % k)
+        };
+        let offsets = kernel
+            .taps
+            .iter()
+            .map(|tap| {
+                let (ch, ki, kj) = decode(tap);
+                plane.tap_offset(ch, ki, kj)
+            })
+            .collect();
+        let codes: Vec<u32> = kernel.taps.iter().map(|tap| tap.code).collect();
 
-        // Interior accounting is analytic: every tap executes at every
-        // interior position, and a filter with `t` executed taps costs
-        // `t` shifts and `t − 1` adds.
-        let interior_positions = rect.positions();
+        // A filter with `t` taps on real input at a position costs `t`
+        // shifts and `t − 1` adds there; summed over positions that is
+        // `executed` shifts and `executed − active` adds.
         let mut shifts = 0u64;
         let mut adds = 0u64;
+        let mut window = Vec::new();
         for fi in 0..kernel.filters() {
-            let t = (kernel.bounds[fi + 1] - kernel.bounds[fi]) as u64;
-            shifts += t * interior_positions as u64;
-            adds += t.saturating_sub(1) * interior_positions as u64;
+            let taps = &kernel.taps[kernel.bounds[fi] as usize..kernel.bounds[fi + 1] as usize];
+            window.clear();
+            window.extend(taps.iter().map(|tap| {
+                let (_, ki, kj) = decode(tap);
+                (ki, kj)
+            }));
+            let (executed, active) = executed_taps(geom, &window);
+            shifts += executed;
+            adds += executed - active;
         }
-
-        // Border accounting is a one-time dry run of the checked path.
-        let mut border_positions = 0usize;
-        for_each_border_position(geom, &rect, |oi, oj| {
-            border_positions += 1;
-            let ii0 = (oi * geom.stride) as i32 - p;
-            let jj0 = (oj * geom.stride) as i32 - p;
-            for fi in 0..kernel.filters() {
-                let lo = kernel.bounds[fi] as usize;
-                let hi = kernel.bounds[fi + 1] as usize;
-                let executed = border[lo..hi]
-                    .iter()
-                    .filter(|bt| {
-                        let ii = ii0 + bt.di;
-                        let jj = jj0 + bt.dj;
-                        (0..h as i32).contains(&ii) && (0..w as i32).contains(&jj)
-                    })
-                    .count() as u64;
-                shifts += executed;
-                adds += executed.saturating_sub(1);
-            }
-        });
 
         // Lane-eligibility bounds (see the field docs): worst-case shift
         // and per-filter magnitude multiplier, both over the packed codes.
@@ -492,29 +458,23 @@ impl LoweredShift {
         }
 
         LoweredShift {
-            rect,
+            plane,
+            sweep: Sweep::of(geom),
             offsets,
             codes,
-            border,
             shifts_per_image: shifts,
             adds_per_image: adds,
-            interior_positions,
-            border_positions,
             max_shift,
             lane_weight,
         }
     }
 
     /// The path this call actually runs: the requested lane path only
-    /// when the batch fills at least one lane block, the interior is
-    /// nonempty, and i32 lane accumulation provably cannot wrap (see
-    /// the `lane_weight` field docs); [`KernelPath::Scalar`] otherwise.
+    /// when the batch fills at least one lane block and i32 lane
+    /// accumulation provably cannot wrap (see the `lane_weight` field
+    /// docs); [`KernelPath::Scalar`] otherwise.
     fn lane_path(&self, requested: KernelPath, codes: &[i32], n: usize) -> KernelPath {
-        if requested == KernelPath::Scalar
-            || n < LANES
-            || self.interior_positions == 0
-            || self.max_shift > MAX_LANE_SHIFT
-        {
+        if requested == KernelPath::Scalar || n < LANES || self.max_shift > MAX_LANE_SHIFT {
             return KernelPath::Scalar;
         }
         let max_abs = codes
@@ -528,187 +488,133 @@ impl LoweredShift {
         requested
     }
 
-    /// Executes the lowered program: lane-blocked SIMD interior where
-    /// eligible (full blocks of [`LANES`] images), scalar interior
-    /// otherwise, checked scalar border always. Writes outputs only —
-    /// op accounting lives in the precomputed per-image totals, which
-    /// are dispatch-invariant.
+    /// Executes the lowered program over padded planes: full blocks of
+    /// [`LANES`] images on the SIMD lanes where eligible, every other
+    /// image on the per-image scalar loop; both sweep the whole output
+    /// map. Writes outputs only — op accounting lives in the
+    /// precomputed per-image totals, which are dispatch-invariant — and
+    /// notes the engaged split in `lanes`.
     fn run(
         &self,
         kernel: &ShiftKernel,
-        codes_in: &[i32],
+        planes: &[i32],
         scales: &[f32],
-        geom: &Conv2dGeometry,
         out: &mut [f32],
         lanes: &mut LaneCtx,
     ) {
         let n = scales.len();
-        let path = self.lane_path(lanes.path(), codes_in, n);
+        let path = self.lane_path(lanes.path(), planes, n);
         let lane_images = if path == KernelPath::Scalar {
             0
         } else {
             n - n % LANES
         };
+        let plane = self.plane.len;
+        let f = kernel.filters();
+        let positions = self.sweep.positions();
+        let img_stride = f * positions;
 
-        if lane_images > 0 {
-            let chw = geom.in_channels * geom.in_h * geom.in_w;
-            let f = kernel.filters();
-            let img_stride = f * geom.out_h * geom.out_w;
-            let g = BlockGeom {
-                rect: self.rect,
-                stride: geom.stride,
-                padding: geom.padding,
-                in_w: geom.in_w,
-                out_w: geom.out_w,
-            };
-            for b0 in (0..lane_images).step_by(LANES) {
-                pack_lane_block(
-                    &codes_in[b0 * chw..(b0 + LANES) * chw],
-                    chw,
-                    &mut lanes.block,
-                );
-                let mut out_scales = [0f32; LANES];
-                for (l, slot) in out_scales.iter_mut().enumerate() {
-                    *slot = scales[b0 + l] * kernel.base_scale;
-                }
-                for fi in 0..f {
-                    let lo = kernel.bounds[fi] as usize;
-                    let hi = kernel.bounds[fi + 1] as usize;
-                    run_shift_rect(
-                        path,
-                        &lanes.block,
-                        &self.offsets[lo..hi],
-                        &self.codes[lo..hi],
-                        &g,
-                        out,
-                        (b0 * f + fi) * geom.out_h * geom.out_w,
-                        img_stride,
-                        &out_scales,
-                    );
-                }
+        for b0 in (0..lane_images).step_by(LANES) {
+            pack_lane_block(
+                &planes[b0 * plane..(b0 + LANES) * plane],
+                plane,
+                &mut lanes.block,
+            );
+            let mut out_scales = [0f32; LANES];
+            for (l, slot) in out_scales.iter_mut().enumerate() {
+                *slot = scales[b0 + l] * kernel.base_scale;
             }
-            // The border ring of the lane-covered images stays scalar.
-            self.run_scalar(kernel, codes_in, scales, geom, out, 0..lane_images, false);
+            for fi in 0..f {
+                let lo = kernel.bounds[fi] as usize;
+                let hi = kernel.bounds[fi + 1] as usize;
+                run_shift_block(
+                    path,
+                    &lanes.block,
+                    &self.offsets[lo..hi],
+                    &self.codes[lo..hi],
+                    &self.sweep,
+                    out,
+                    (b0 * f + fi) * positions,
+                    img_stride,
+                    &out_scales,
+                );
+            }
         }
 
         // Remnant images (or the whole batch when the lane path is off)
-        // run the per-image scalar path, so any batch size produces the
-        // same bits as solo inference.
-        self.run_scalar(kernel, codes_in, scales, geom, out, lane_images..n, true);
-    }
-
-    /// The per-image scalar path over a range of images: i64-accumulated
-    /// interior (when `include_interior`) plus the checked border.
-    #[allow(clippy::too_many_arguments)]
-    fn run_scalar(
-        &self,
-        kernel: &ShiftKernel,
-        codes_in: &[i32],
-        scales: &[f32],
-        geom: &Conv2dGeometry,
-        out: &mut [f32],
-        images: std::ops::Range<usize>,
-        include_interior: bool,
-    ) {
-        let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
-        let chw = c * h * w;
-        let (stride, padding) = (geom.stride, geom.padding);
-        let f = kernel.filters();
-        let (out_h, out_w) = (geom.out_h, geom.out_w);
-        let rect = self.rect;
-
-        for b in images {
+        // run per image, so any batch size produces the same bits as
+        // solo inference.
+        for b in lane_images..n {
             let out_scale = scales[b] * kernel.base_scale;
-            let img = &codes_in[b * chw..(b + 1) * chw];
+            let img = &planes[b * plane..(b + 1) * plane];
             for fi in 0..f {
                 let lo = kernel.bounds[fi] as usize;
                 let hi = kernel.bounds[fi + 1] as usize;
                 let offs = &self.offsets[lo..hi];
                 let tap_codes = &self.codes[lo..hi];
-
-                // Interior: no padding branch, no index decode, no
-                // per-tap accounting — load, shift, sign-fold, add.
-                // Skipped when a lane block already wrote these bits.
-                if include_interior {
-                    for oi in rect.oi_lo..rect.oi_hi {
-                        let out_row = ((b * f + fi) * out_h + oi) * out_w;
-                        let in_row = (oi * stride - padding) * w;
-                        for oj in rect.oj_lo..rect.oj_hi {
-                            let base = in_row + oj * stride - padding;
-                            let mut acc: i64 = 0;
-                            for (&o, &cd) in offs.iter().zip(tap_codes) {
-                                let a = img[base + o as usize] as i64;
-                                let term = a << (cd & SHIFT_MASK);
-                                let mask = ((cd as i32) >> 31) as i64;
-                                acc += (term ^ mask) - mask;
-                            }
-                            out[out_row + oj] = acc as f32 * out_scale;
-                        }
-                    }
-                }
-
-                // Border: the checked path, on the thin frame only.
-                let border_taps = &self.border[lo..hi];
-                for_each_border_position(geom, &rect, |oi, oj| {
-                    let ii0 = (oi * stride) as i32 - padding as i32;
-                    let jj0 = (oj * stride) as i32 - padding as i32;
-                    let mut acc: i64 = 0;
-                    for (bt, &cd) in border_taps.iter().zip(tap_codes) {
-                        let ii = ii0 + bt.di;
-                        let jj = jj0 + bt.dj;
-                        if (0..h as i32).contains(&ii) && (0..w as i32).contains(&jj) {
-                            let a = img[bt.plane as usize + ii as usize * w + jj as usize] as i64;
-                            let term = a << (cd & SHIFT_MASK);
+                let out_plane = &mut out[(b * f + fi) * positions..(b * f + fi + 1) * positions];
+                let mut slot = out_plane.iter_mut();
+                for oi in 0..self.sweep.out_h {
+                    for oj in 0..self.sweep.out_w {
+                        let base = self.sweep.origin(oi, oj);
+                        let mut acc: i64 = 0;
+                        for (&o, &cd) in offs.iter().zip(tap_codes) {
+                            let term = (img[base + o as usize] as i64) << (cd & SHIFT_MASK);
                             let mask = ((cd as i32) >> 31) as i64;
                             acc += (term ^ mask) - mask;
                         }
+                        *slot.next().expect("one slot per position") = acc as f32 * out_scale;
                     }
-                    out[((b * f + fi) * out_h + oi) * out_w + oj] = acc as f32 * out_scale;
-                });
+                }
             }
         }
+        lanes.note_engaged(lane_images, n - lane_images);
     }
 }
 
-/// Validates the shared layout contract of the conv cores.
+/// Validates the shared layout contract of the conv cores: `plane`
+/// codes per image (padded for the lowered core, unpadded for the
+/// reference).
 fn check_core_shapes(
     codes: &[i32],
+    plane: usize,
     scales: &[f32],
     geom: &Conv2dGeometry,
     kernel: &ShiftKernel,
     out: &[f32],
 ) {
-    let n = scales.len();
-    let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
+    let c = geom.in_channels;
     assert_eq!(
         c, kernel.in_channels,
         "activation channels {c} != kernel channels {}",
         kernel.in_channels
     );
     assert_eq!(geom.kernel, kernel.kernel, "geometry/kernel size mismatch");
-    assert_eq!(codes.len(), n * c * h * w, "codes length mismatch");
+    assert_eq!(codes.len(), scales.len() * plane, "codes length mismatch");
     assert_eq!(
         out.len(),
-        n * kernel.filters() * geom.out_positions(),
+        scales.len() * kernel.filters() * geom.out_positions(),
         "output length mismatch"
     );
 }
 
-/// Shift-add convolution over raw integer codes with one scale per image
-/// — the lowered core.
+/// Shift-add convolution over zero-padded integer planes with one scale
+/// per image — the lowered core.
 ///
 /// `scales.len()` is the batch size `n`; image `b`'s codes occupy
-/// `codes[b·chw .. (b+1)·chw]` and its outputs are rescaled by
-/// `scales[b] · kernel.base_scale`. Results accumulate into `out`
-/// (length `n · filters · out_positions`, row-major `[n, f, oh, ow]`)
-/// and op counts into `counts`, so the execution engine can drive this
-/// from reusable per-worker scratch buffers.
+/// `planes[b·len .. (b+1)·len]` as a `[c, h + 2p, w + 2p]` plane with
+/// zeros in the padding ring (`len` = that plane's size), and its
+/// outputs are rescaled by `scales[b] · kernel.base_scale`. Results
+/// land in `out` (length `n · filters · out_positions`, row-major
+/// `[n, f, oh, ow]`), op counts accumulate into `counts`, and the
+/// engaged lane/scalar split into `lanes`, so the execution engine can
+/// drive this from reusable per-worker scratch buffers.
 ///
 /// Per-image scales are what make each image's pipeline independent of
 /// its batchmates — the invariant the batched engine's bit-exact
 /// parallel/sequential parity rests on.
 pub(crate) fn shift_add_conv_core(
-    codes: &[i32],
+    planes: &[i32],
     scales: &[f32],
     geom: &Conv2dGeometry,
     kernel: &ShiftKernel,
@@ -716,31 +622,30 @@ pub(crate) fn shift_add_conv_core(
     counts: &mut OpCounts,
     lanes: &mut LaneCtx,
 ) {
-    check_core_shapes(codes, scales, geom, kernel, out);
     let lowered = kernel.lowered(geom);
-    lowered.run(kernel, codes, scales, geom, out, lanes);
+    check_core_shapes(planes, lowered.plane.len, scales, geom, kernel, out);
+    lowered.run(kernel, planes, scales, out, lanes);
     let n = scales.len() as u64;
     counts.shifts += n * lowered.shifts_per_image;
     counts.int_adds += n * lowered.adds_per_image;
 }
 
-/// The interpreted tap loop the lowered core replaced: re-decodes every
-/// tap's `(ch, ki, kj)` per output position and checks padding bounds per
-/// tap. Retained as the bit-exactness oracle for the lowering (the
-/// parity proptests compare against it) and as the baseline of the
-/// `lowering` bench exhibit.
-pub(crate) fn shift_add_conv_reference_core(
+/// The interpreted tap loop the lowered core replaced: reads unpadded
+/// planes, re-decodes every tap's `(ch, ki, kj)` per output position and
+/// checks padding bounds per tap. Retained as the bit-exactness oracle
+/// for the lowering (the parity proptests compare against it) and as
+/// the baseline of the `lowering` bench exhibit.
+fn shift_add_conv_reference_core(
     codes: &[i32],
     scales: &[f32],
     geom: &Conv2dGeometry,
     kernel: &ShiftKernel,
     out: &mut [f32],
     counts: &mut OpCounts,
-    _lanes: &mut LaneCtx,
 ) {
-    check_core_shapes(codes, scales, geom, kernel, out);
-    let n = scales.len();
     let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
+    check_core_shapes(codes, c * h * w, scales, geom, kernel, out);
+    let n = scales.len();
     let k = geom.kernel;
     let (stride, padding) = (geom.stride, geom.padding);
     let f = kernel.filters();
@@ -816,8 +721,11 @@ pub fn shift_add_conv_with_path(
         kernel,
         stride,
         padding,
-        shift_add_conv_core,
-        LaneCtx::with_path(path),
+        |codes, scales, geom, out, counts| {
+            let planes = pad_planes(codes, geom);
+            let mut lanes = LaneCtx::with_path(path);
+            shift_add_conv_core(&planes, scales, geom, kernel, out, counts, &mut lanes);
+        },
     )
 }
 
@@ -836,21 +744,20 @@ pub fn shift_add_conv_reference(
         kernel,
         stride,
         padding,
-        shift_add_conv_reference_core,
-        LaneCtx::with_path(KernelPath::Scalar),
+        |codes, scales, geom, out, counts| {
+            shift_add_conv_reference_core(codes, scales, geom, kernel, out, counts)
+        },
     )
 }
 
-type ShiftCore =
-    fn(&[i32], &[f32], &Conv2dGeometry, &ShiftKernel, &mut [f32], &mut OpCounts, &mut LaneCtx);
-
+/// Shapes the output of a public conv call and runs `core` over the
+/// activations' unpadded codes with the shared scale repeated per image.
 fn shift_add_conv_with(
     act: &QuantActivations,
     kernel: &ShiftKernel,
     stride: usize,
     padding: usize,
-    core: ShiftCore,
-    mut lanes: LaneCtx,
+    core: impl FnOnce(&[i32], &[f32], &Conv2dGeometry, &mut [f32], &mut OpCounts),
 ) -> (Tensor, OpCounts) {
     let ad = act.dims();
     assert_eq!(ad.len(), 4, "activations must be [n, c, h, w]");
@@ -859,15 +766,7 @@ fn shift_add_conv_with(
     let mut out = Tensor::zeros(&[n, kernel.filters(), geom.out_h, geom.out_w]);
     let scales = vec![act.scale(); n];
     let mut counts = OpCounts::default();
-    core(
-        act.codes(),
-        &scales,
-        &geom,
-        kernel,
-        out.as_mut_slice(),
-        &mut counts,
-        &mut lanes,
-    );
+    core(act.codes(), &scales, &geom, out.as_mut_slice(), &mut counts);
     (out, counts)
 }
 
@@ -955,7 +854,7 @@ mod tests {
 
         let mut codes = Vec::new();
         let mut scales = Vec::new();
-        QuantActivations::quantize_per_image_into(&x, 8, &mut codes, &mut scales);
+        QuantActivations::quantize_padded_into(&x, 8, 1, &mut codes, &mut scales);
         let geom = Conv2dGeometry::new(2, 6, 6, 3, 1, 1);
         let mut out = vec![0.0f32; 3 * kernel.filters() * geom.out_positions()];
         let mut counts = OpCounts::default();

@@ -1,29 +1,30 @@
 //! Batch-major SIMD lanes for the lowered tap programs.
 //!
-//! The lowered interior loops of both integer datapaths (`shift.rs`,
-//! `fixed.rs`) are branchless but scalar: one shift/sign/add (or one
-//! multiply/add) per tap per output position per image. This module
-//! vectorizes them **batch-major**: a lane holds the *same spatial
-//! position across [`LANES`] images*, so the tap program — offsets,
-//! shift amounts, signs, weights — is identical for every element of
-//! the lane and broadcasts across it with no per-lane control flow.
+//! The lowered loops of both integer datapaths (`shift.rs`, `fixed.rs`)
+//! are branchless but scalar: one shift/sign/add (or one multiply/add)
+//! per tap per output position per image. This module vectorizes them
+//! **batch-major**: a lane holds the *same spatial position across
+//! [`LANES`] images*, so the tap program — offsets, shift amounts,
+//! signs, weights — is identical for every element of the lane and
+//! broadcasts across it with no per-lane control flow.
 //!
 //! That requires a layout change. Activations arrive as per-image
-//! planes (`codes[b · chw ..]`, NCHW); the lane kernels read a
-//! **batch-blocked, lane-major arena** instead, packed per block of
-//! [`LANES`] consecutive images:
+//! zero-padded planes (`codes[b · plane ..]`, see the `lower` module);
+//! the lane kernels read a **batch-blocked, lane-major arena** instead,
+//! packed per block of [`LANES`] consecutive images:
 //!
 //! ```text
-//! block[off · LANES + l] == codes[(b0 + l) · chw + off]
+//! block[off · LANES + l] == codes[(b0 + l) · plane + off]
 //! ```
 //!
-//! i.e. the flat `(c, h, w)` offset keeps its meaning and the lane
-//! index becomes the innermost (unit-stride) dimension, so every tap
-//! load is one contiguous 8 × i32 vector. The arena lives in a
-//! [`LaneCtx`] owned by the engine's per-worker scratch, and the
-//! pack/unpack shims sit at the conv stage boundary — the border ring,
-//! activation quantization, and per-image output scales keep their
-//! existing scalar layouts.
+//! i.e. the flat padded `(c, h, w)` offset keeps its meaning and the
+//! lane index becomes the innermost (unit-stride) dimension, so every
+//! tap load is one contiguous 8 × i32 vector. Because the padding ring
+//! is packed along with the codes, one lane program covers the *whole*
+//! output map — border positions included — with no scalar fix-up
+//! pass. The arena lives in a [`LaneCtx`] owned by the engine's
+//! per-worker scratch, and the pack shim sits at the conv stage
+//! boundary.
 //!
 //! # Dispatch
 //!
@@ -33,14 +34,16 @@
 //! * [`KernelPath::Avx2`] — `core::arch` AVX2 intrinsics, i32×8 lanes;
 //! * [`KernelPath::Portable`] — the same lane loops over `[i32; LANES]`
 //!   arrays in safe Rust (auto-vectorizes on whatever the target has);
-//! * [`KernelPath::Scalar`] — the pre-lane per-image path (also the
-//!   border/remnant/overflow fallback inside the lane paths).
+//! * [`KernelPath::Scalar`] — the per-image loop with i64 accumulation
+//!   (also the remnant/overflow fallback inside the lane paths).
 //!
 //! [`active_path`] picks once per process: AVX2 when the CPU has it,
 //! unless `FLIGHT_FORCE_SCALAR` pins the scalar path; Portable
 //! otherwise. Batches smaller than [`LANES`] and the remnant images of
 //! non-multiple batches run the scalar path per image, so logits are
-//! invariant under batch composition on every path.
+//! invariant under batch composition on every path. [`LaneCtx`] tallies
+//! how many images each path actually covered, which is what the
+//! engine's profiler reports.
 //!
 //! # Exactness
 //!
@@ -50,13 +53,15 @@
 //! the worst-case per-filter magnitude multiplier (`Σ 2^s` over a
 //! filter's taps for the shift path, `Σ |w|` for the fixed path), and
 //! the runner takes the lane path only when
-//! `max |code| · multiplier ≤ i32::MAX`. 8-bit activations with
-//! realistic tap programs pass by orders of magnitude; adversarial
-//! inputs silently fall back to the scalar path instead of wrapping.
+//! `max |code| · multiplier ≤ i32::MAX`. Padding zeros only lower a
+//! partial sum's magnitude, so the bound covers border positions too.
+//! 8-bit activations with realistic tap programs pass by orders of
+//! magnitude; adversarial inputs silently fall back to the scalar path
+//! instead of wrapping.
 
 use std::sync::OnceLock;
 
-use crate::lower::InteriorRect;
+use crate::lower::Sweep;
 
 /// Images per SIMD lane block (i32×8 — one AVX2 register).
 pub const LANES: usize = 8;
@@ -71,16 +76,15 @@ pub(crate) const MAX_LANE_SHIFT: u32 = 30;
 /// diffs and for ruling the vectorizer out of a miscompare.
 pub const FORCE_SCALAR_ENV: &str = "FLIGHT_FORCE_SCALAR";
 
-/// Which interior implementation a conv call runs.
+/// Which lowered implementation a conv call runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
     /// AVX2 i32×8 lanes over the batch-blocked arena.
     Avx2,
     /// The same lane loops in portable safe Rust (`[i32; LANES]`).
     Portable,
-    /// Per-image scalar loops with i64 accumulation — the pre-SIMD
-    /// lowered path, and the fallback for borders, remnant images, and
-    /// accumulator-overflow risks.
+    /// Per-image scalar loops with i64 accumulation — the fallback for
+    /// remnant images and accumulator-overflow risks.
     Scalar,
 }
 
@@ -197,8 +201,14 @@ pub fn active_path() -> KernelPath {
 pub struct LaneCtx {
     path: KernelPath,
     /// Lane-major blocked codes for the block being processed
-    /// (`chw · LANES` elements; see the module docs for the layout).
+    /// (`plane · LANES` elements; see the module docs for the layout).
     pub(crate) block: Vec<i32>,
+    /// Images the lowered cores ran on lane blocks since the last
+    /// [`take_engaged`](Self::take_engaged).
+    lane_images: u64,
+    /// Images the lowered cores ran on the per-image scalar loop since
+    /// the last [`take_engaged`](Self::take_engaged).
+    scalar_images: u64,
 }
 
 impl LaneCtx {
@@ -213,6 +223,8 @@ impl LaneCtx {
         LaneCtx {
             path,
             block: Vec::new(),
+            lane_images: 0,
+            scalar_images: 0,
         }
     }
 
@@ -226,6 +238,23 @@ impl LaneCtx {
     pub fn set_path(&mut self, path: KernelPath) {
         self.path = path;
     }
+
+    /// Records one conv call's split: `lane` images on lane blocks,
+    /// `scalar` on the per-image loop.
+    pub(crate) fn note_engaged(&mut self, lane: usize, scalar: usize) {
+        self.lane_images += lane as u64;
+        self.scalar_images += scalar as u64;
+    }
+
+    /// The `(lane, scalar)` image counts the lowered cores engaged since
+    /// the last call, resetting both — the path that actually ran, as
+    /// opposed to the requested [`path`](Self::path).
+    pub fn take_engaged(&mut self) -> (u64, u64) {
+        let engaged = (self.lane_images, self.scalar_images);
+        self.lane_images = 0;
+        self.scalar_images = 0;
+        engaged
+    }
 }
 
 impl Default for LaneCtx {
@@ -235,48 +264,37 @@ impl Default for LaneCtx {
 }
 
 /// Packs [`LANES`] consecutive images' planes into the lane-major
-/// blocked layout: `block[off · LANES + l] = codes[l · chw + off]`.
+/// blocked layout: `block[off · LANES + l] = codes[l · plane + off]`.
 /// `codes` holds exactly the block's images, planar.
-pub(crate) fn pack_lane_block(codes: &[i32], chw: usize, block: &mut Vec<i32>) {
-    debug_assert_eq!(codes.len(), chw * LANES);
+pub(crate) fn pack_lane_block(codes: &[i32], plane: usize, block: &mut Vec<i32>) {
+    debug_assert_eq!(codes.len(), plane * LANES);
     block.clear();
-    block.resize(chw * LANES, 0);
-    for off in 0..chw {
+    block.resize(plane * LANES, 0);
+    for off in 0..plane {
         let dst = &mut block[off * LANES..(off + 1) * LANES];
         for (l, slot) in dst.iter_mut().enumerate() {
-            *slot = codes[l * chw + off];
+            *slot = codes[l * plane + off];
         }
     }
 }
 
-/// The geometry a lane rect runner needs: the interior rectangle plus
-/// the strides that turn an output position into a window origin.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BlockGeom {
-    pub rect: InteriorRect,
-    pub stride: usize,
-    pub padding: usize,
-    pub in_w: usize,
-    pub out_w: usize,
-}
-
 use crate::shift::SHIFT_MASK;
 
-/// Runs one filter's shift taps over the interior rectangle of one
-/// lane block, dispatching on `path` ([`KernelPath::Scalar`] is the
-/// caller's responsibility and never reaches here).
+/// Runs one filter's shift taps over the whole output map of one lane
+/// block, dispatching on `path` ([`KernelPath::Scalar`] is the caller's
+/// responsibility and never reaches here).
 ///
 /// `filter_base` is the flat output index of `(b0, fi, 0, 0)` and
 /// `img_stride` the per-image output stride `f · oh · ow`, so lane `l`
 /// of position `(oi, oj)` lands at
 /// `filter_base + l · img_stride + oi · out_w + oj`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_shift_rect(
+pub(crate) fn run_shift_block(
     path: KernelPath,
     block: &[i32],
     offs: &[u32],
     codes: &[u32],
-    g: &BlockGeom,
+    g: &Sweep,
     out: &mut [f32],
     filter_base: usize,
     img_stride: usize,
@@ -287,7 +305,7 @@ pub(crate) fn run_shift_rect(
         KernelPath::Avx2 => unsafe {
             // Safety: dispatch only selects Avx2 after
             // `is_x86_feature_detected!("avx2")`.
-            avx2::shift_rect(
+            avx2::shift_block(
                 block,
                 offs,
                 codes,
@@ -298,7 +316,7 @@ pub(crate) fn run_shift_rect(
                 out_scales,
             )
         },
-        _ => shift_rect_portable(
+        _ => shift_block_portable(
             block,
             offs,
             codes,
@@ -311,17 +329,17 @@ pub(crate) fn run_shift_rect(
     }
 }
 
-/// Runs one filter's dense fixed-point taps over the interior
-/// rectangle of one lane block (see [`run_shift_rect`] for the output
-/// indexing contract). `weights` is the filter's `c · k · k` codes,
+/// Runs one filter's dense fixed-point taps over the whole output map
+/// of one lane block (see [`run_shift_block`] for the output indexing
+/// contract). `weights` is the filter's `c · k · k` codes,
 /// parallel to `offs`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_fixed_rect(
+pub(crate) fn run_fixed_block(
     path: KernelPath,
     block: &[i32],
     offs: &[u32],
     weights: &[i32],
-    g: &BlockGeom,
+    g: &Sweep,
     out: &mut [f32],
     filter_base: usize,
     img_stride: usize,
@@ -332,7 +350,7 @@ pub(crate) fn run_fixed_rect(
         KernelPath::Avx2 => unsafe {
             // Safety: dispatch only selects Avx2 after
             // `is_x86_feature_detected!("avx2")`.
-            avx2::fixed_rect(
+            avx2::fixed_block(
                 block,
                 offs,
                 weights,
@@ -343,7 +361,7 @@ pub(crate) fn run_fixed_rect(
                 out_scales,
             )
         },
-        _ => fixed_rect_portable(
+        _ => fixed_block_portable(
             block,
             offs,
             weights,
@@ -356,25 +374,24 @@ pub(crate) fn run_fixed_rect(
     }
 }
 
-/// The portable lane implementation of the shift interior: identical
-/// loop structure to the AVX2 version, over `[i32; LANES]` arrays the
+/// The portable lane implementation of the shift sweep: identical loop
+/// structure to the AVX2 version, over `[i32; LANES]` arrays the
 /// compiler is free to auto-vectorize.
 #[allow(clippy::too_many_arguments)]
-fn shift_rect_portable(
+fn shift_block_portable(
     block: &[i32],
     offs: &[u32],
     codes: &[u32],
-    g: &BlockGeom,
+    g: &Sweep,
     out: &mut [f32],
     filter_base: usize,
     img_stride: usize,
     out_scales: &[f32; LANES],
 ) {
-    for oi in g.rect.oi_lo..g.rect.oi_hi {
-        let in_row = (oi * g.stride - g.padding) * g.in_w;
+    for oi in 0..g.out_h {
         let out_row = filter_base + oi * g.out_w;
-        for oj in g.rect.oj_lo..g.rect.oj_hi {
-            let base = in_row + oj * g.stride - g.padding;
+        for oj in 0..g.out_w {
+            let base = g.origin(oi, oj);
             let mut acc = [0i32; LANES];
             for (&o, &cd) in offs.iter().zip(codes) {
                 let p = (base + o as usize) * LANES;
@@ -393,23 +410,22 @@ fn shift_rect_portable(
     }
 }
 
-/// The portable lane implementation of the fixed-point interior.
+/// The portable lane implementation of the fixed-point sweep.
 #[allow(clippy::too_many_arguments)]
-fn fixed_rect_portable(
+fn fixed_block_portable(
     block: &[i32],
     offs: &[u32],
     weights: &[i32],
-    g: &BlockGeom,
+    g: &Sweep,
     out: &mut [f32],
     filter_base: usize,
     img_stride: usize,
     out_scales: &[f32; LANES],
 ) {
-    for oi in g.rect.oi_lo..g.rect.oi_hi {
-        let in_row = (oi * g.stride - g.padding) * g.in_w;
+    for oi in 0..g.out_h {
         let out_row = filter_base + oi * g.out_w;
-        for oj in g.rect.oj_lo..g.rect.oj_hi {
-            let base = in_row + oj * g.stride - g.padding;
+        for oj in 0..g.out_w {
+            let base = g.origin(oi, oj);
             let mut acc = [0i32; LANES];
             for (&o, &wv) in offs.iter().zip(weights) {
                 let p = (base + o as usize) * LANES;
@@ -433,32 +449,32 @@ mod avx2 {
 
     use core::arch::x86_64::*;
 
-    use super::{BlockGeom, LANES};
+    use super::LANES;
+    use crate::lower::Sweep;
     use crate::shift::SHIFT_MASK;
 
-    /// One filter's shift taps over the interior rect, i32×8.
+    /// One filter's shift taps over the whole output map, i32×8.
     ///
     /// # Safety
     ///
     /// Caller must have verified AVX2 support.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn shift_rect(
+    pub(crate) unsafe fn shift_block(
         block: &[i32],
         offs: &[u32],
         codes: &[u32],
-        g: &BlockGeom,
+        g: &Sweep,
         out: &mut [f32],
         filter_base: usize,
         img_stride: usize,
         out_scales: &[f32; LANES],
     ) {
         let src = block.as_ptr();
-        for oi in g.rect.oi_lo..g.rect.oi_hi {
-            let in_row = (oi * g.stride - g.padding) * g.in_w;
+        for oi in 0..g.out_h {
             let out_row = filter_base + oi * g.out_w;
-            for oj in g.rect.oj_lo..g.rect.oj_hi {
-                let base = in_row + oj * g.stride - g.padding;
+            for oj in 0..g.out_w {
+                let base = g.origin(oi, oj);
                 let mut acc = _mm256_setzero_si256();
                 for (&o, &cd) in offs.iter().zip(codes) {
                     let p = (base + o as usize) * LANES;
@@ -482,7 +498,7 @@ mod avx2 {
         }
     }
 
-    /// One filter's dense fixed-point taps over the interior rect,
+    /// One filter's dense fixed-point taps over the whole output map,
     /// i32×8 multiplies (`vpmulld`).
     ///
     /// # Safety
@@ -490,22 +506,21 @@ mod avx2 {
     /// Caller must have verified AVX2 support.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn fixed_rect(
+    pub(crate) unsafe fn fixed_block(
         block: &[i32],
         offs: &[u32],
         weights: &[i32],
-        g: &BlockGeom,
+        g: &Sweep,
         out: &mut [f32],
         filter_base: usize,
         img_stride: usize,
         out_scales: &[f32; LANES],
     ) {
         let src = block.as_ptr();
-        for oi in g.rect.oi_lo..g.rect.oi_hi {
-            let in_row = (oi * g.stride - g.padding) * g.in_w;
+        for oi in 0..g.out_h {
             let out_row = filter_base + oi * g.out_w;
-            for oj in g.rect.oj_lo..g.rect.oj_hi {
-                let base = in_row + oj * g.stride - g.padding;
+            for oj in 0..g.out_w {
+                let base = g.origin(oi, oj);
                 let mut acc = _mm256_setzero_si256();
                 for (&o, &wv) in offs.iter().zip(weights) {
                     let p = (base + o as usize) * LANES;
@@ -567,19 +582,28 @@ mod tests {
     #[test]
     fn pack_is_the_lane_major_transpose() {
         // 2 "pixels" per image: block must interleave images.
-        let chw = 2;
-        let codes: Vec<i32> = (0..(LANES * chw) as i32).collect();
+        let plane = 2;
+        let codes: Vec<i32> = (0..(LANES * plane) as i32).collect();
         let mut block = Vec::new();
-        pack_lane_block(&codes, chw, &mut block);
-        for off in 0..chw {
+        pack_lane_block(&codes, plane, &mut block);
+        for off in 0..plane {
             for l in 0..LANES {
                 assert_eq!(
                     block[off * LANES + l],
-                    codes[l * chw + off],
+                    codes[l * plane + off],
                     "off {off} lane {l}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn engaged_tallies_accumulate_and_reset() {
+        let mut lanes = LaneCtx::with_path(KernelPath::Portable);
+        lanes.note_engaged(8, 1);
+        lanes.note_engaged(0, 3);
+        assert_eq!(lanes.take_engaged(), (8, 4));
+        assert_eq!(lanes.take_engaged(), (0, 0), "take resets");
     }
 
     #[test]

@@ -349,14 +349,101 @@ fn profiled_forward_is_bit_identical_and_attributes_every_stage() {
         "profiling must not change op counts"
     );
 
-    // Every compiled stage appears once, in order, with the engine's
-    // dispatch path tag; the per-stage op totals sum to the whole pass.
+    // Every compiled stage appears once, in order, tagged with the path
+    // that actually ran — a 4-image batch fills no lane block, so it is
+    // `scalar` whatever the context requests; the per-stage op totals
+    // sum to the whole pass.
     assert_eq!(sample.stages(), compiled.stages());
-    assert_eq!(sample.path(), ctx.kernel_path().name());
+    assert_eq!(sample.path(), "scalar");
     let per_stage_ops: u64 = (0..sample.stages())
         .map(|i| sample.stage(i).expect("recorded").2)
         .sum();
     assert_eq!(per_stage_ops, prof_counts.total());
     let (first_kind, _, _) = sample.stage(0).expect("stage 0");
     assert_eq!(first_kind, "conv", "network 1 opens with a conv stage");
+}
+
+/// Network 1 (untrained — the engaged path does not depend on weights)
+/// plus a batch of `n` images.
+fn network1_batch(
+    n: usize,
+) -> (
+    std::sync::Arc<flight_kernels::CompiledNet>,
+    flight_tensor::Tensor,
+) {
+    let mut rng = TensorRng::seed(31);
+    let mut net =
+        NetworkConfig::by_id(1).build(&QuantScheme::l1(), &mut rng, 10, [3, 16, 16], 0.25);
+    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
+    let x = flight_tensor::uniform(&mut rng, &[n, 3, 16, 16], -1.0, 1.0);
+    (engine.compiled(), x)
+}
+
+/// The `(lane, scalar)` image split of every conv/linear stage of one
+/// profiled forward on `path`, plus the sample's path tag.
+fn engaged(n: usize, path: flight_kernels::KernelPath) -> (Vec<(u64, u64)>, &'static str) {
+    let (net, x) = network1_batch(n);
+    let mut ctx = flight_kernels::ExecCtx::new();
+    ctx.set_kernel_path(path);
+    let mut sample = flight_telemetry::StageSample::new();
+    let _ = net.forward_profiled(&x, &mut ctx, &mut sample);
+    let splits = (0..sample.stages())
+        .filter(|&i| matches!(sample.stage(i).unwrap().0, "conv" | "linear"))
+        .map(|i| sample.stage_images(i).unwrap())
+        .collect();
+    (splits, sample.path())
+}
+
+#[test]
+fn profiled_stages_report_the_engaged_lane_and_scalar_images() {
+    use flight_kernels::KernelPath;
+    // Portable lanes are available on every host, so the ground truth
+    // holds under FLIGHT_FORCE_SCALAR too (the context pins the path).
+    for (n, lane, scalar, tag) in [
+        (8, 8, 0, "portable"),
+        (3, 0, 3, "scalar"),
+        (9, 8, 1, "portable"),
+        (1, 0, 1, "scalar"),
+    ] {
+        let (splits, path) = engaged(n, KernelPath::Portable);
+        assert_eq!(splits.len(), 8, "network 1: 7 convs + 1 linear");
+        for split in &splits {
+            assert_eq!(*split, (lane, scalar), "batch {n}");
+        }
+        assert_eq!(path, tag, "batch {n}");
+    }
+    // Forced scalar: every image on the scalar loop, whatever the batch.
+    for n in [8, 16] {
+        let (splits, path) = engaged(n, KernelPath::Scalar);
+        assert!(splits.iter().all(|&s| s == (0, n as u64)), "batch {n}");
+        assert_eq!(path, "scalar");
+    }
+}
+
+#[test]
+fn non_finite_images_poison_only_their_own_logits() {
+    let (net, x) = network1_batch(3);
+    let mut data = x.as_slice().to_vec();
+    let img = data.len() / 3;
+    data[img + 5] = f32::INFINITY;
+    let poisoned = flight_tensor::Tensor::from_vec(data, x.dims());
+    let mut ctx = flight_kernels::ExecCtx::new();
+    let (clean, _) = net.forward(&x, &mut ctx);
+    let (out, _) = net.forward(&poisoned, &mut ctx);
+    let classes = out.len() / 3;
+    let row =
+        |t: &flight_tensor::Tensor, b: usize| t.as_slice()[b * classes..(b + 1) * classes].to_vec();
+    assert!(
+        row(&out, 1).iter().all(|v| v.is_nan()),
+        "{:?}",
+        row(&out, 1)
+    );
+    for b in [0, 2] {
+        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(row(&out, b)),
+            bits(row(&clean, b)),
+            "batchmate {b} unaffected"
+        );
+    }
 }

@@ -4,10 +4,13 @@
 //! [`StageProf`](flight_telemetry::StageProf) snapshot the server
 //! builds from 1-in-N sampled forwards — and renders it as a top-layers
 //! table: every compiled stage with its share of forward wall time,
-//! p50/p99 stage latency, ops/sec, and sample count, sorted hottest
-//! first. The header names the resolved kernel dispatch path (avx2 /
-//! portable / scalar) so a deploy to the wrong microarchitecture is
-//! visible at a glance.
+//! p50/p99 stage latency, ops/sec, sample count, and — for integer
+//! conv/linear stages — how many images ran on SIMD lane blocks vs the
+//! per-image scalar loop, sorted hottest first. The header names the
+//! kernel path the profiled forwards actually ran (avx2 / portable /
+//! scalar; a forward whose batch fills no lane block counts as scalar),
+//! so a deploy to the wrong microarchitecture, or traffic too thin to
+//! batch, is visible at a glance.
 //!
 //! `--window` picks which tallies the table reads: a rolling window
 //! (`1s`, `10s`, `60s`) or `life` for since-start totals. Follow and
@@ -189,11 +192,22 @@ pub fn render(addr: &str, state: &ProfileState, opts: &ProfileOptions) -> String
             .partial_cmp(&num(a.get("time_share")))
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    out.push_str("  stage                  share    p50 ms    p99 ms       ops/s  samples\n");
+    out.push_str(
+        "  stage                  share    p50 ms    p99 ms       ops/s  samples  lane/scalar img\n",
+    );
     for stage in stages {
         let wall = stage.get("wall_ms");
+        let (lane, scalar) = (
+            num(stage.get("lane_images")) as u64,
+            num(stage.get("scalar_images")) as u64,
+        );
+        let engaged = if lane + scalar == 0 {
+            "-".to_string()
+        } else {
+            format!("{lane}/{scalar}")
+        };
         out.push_str(&format!(
-            "  {:<20} {:>6.1}%  {:>8}  {:>8}  {:>10.3e}  {:>7}\n",
+            "  {:<20} {:>6.1}%  {:>8}  {:>8}  {:>10.3e}  {:>7}  {:>15}\n",
             format!(
                 "stage.{}.{}",
                 num(stage.get("index")) as u64,
@@ -207,6 +221,7 @@ pub fn render(addr: &str, state: &ProfileState, opts: &ProfileOptions) -> String
             fmt_ms(num(wall.and_then(|w| w.get("p99")))),
             num(stage.get("ops_per_sec")),
             num(stage.get("samples")) as u64,
+            engaged,
         ));
     }
     out
@@ -249,9 +264,15 @@ mod tests {
     use flight_telemetry::json::JsonObject;
 
     /// A plausible `profile` reply: two stages lifetime, one hot in
-    /// the 10s window, dispatch split avx2-dominant.
+    /// the 10s window, dispatch split avx2-dominant; the conv stage ran
+    /// most images on lanes, the linear stage reports no kernel split.
     fn profile_reply() -> JsonValue {
         let stage = |index: u64, kind: &str, share: f64, samples: u64| {
+            let (lane, scalar) = if kind == "conv" {
+                (samples * 2, samples)
+            } else {
+                (0, 0)
+            };
             JsonObject::new()
                 .field("index", index)
                 .field("kind", kind)
@@ -267,6 +288,8 @@ mod tests {
                 )
                 .field("ops", 60_000u64)
                 .field("ops_per_sec", 2.5e8)
+                .field("lane_images", lane)
+                .field("scalar_images", scalar)
                 .build()
         };
         let tallies = |f: u64, conv_share: f64| {
@@ -331,6 +354,10 @@ mod tests {
         let conv = text.find("stage.0.conv").unwrap();
         let linear = text.find("stage.1.linear").unwrap();
         assert!(conv < linear, "hottest stage sorts first: {text}");
+        assert!(text.contains("lane/scalar img"), "{text}");
+        let row = |name: &str| text.lines().find(|l| l.contains(name)).unwrap();
+        assert!(row("stage.0.conv").ends_with(" 12/6"), "{text}");
+        assert!(row("stage.1.linear").ends_with(" -"), "{text}");
         assert!(!text.contains('\x1b'), "plain render has no ANSI escapes");
     }
 

@@ -128,12 +128,17 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
                 .and_then(JsonValue::as_array)
                 .ok_or_else(|| "infer needs an `image` number array".to_string())?;
             let mut image = Vec::with_capacity(arr.len());
-            for v in arr {
-                image.push(
-                    v.as_f64()
-                        .ok_or_else(|| "`image` entries must be numbers".to_string())?
-                        as f32,
-                );
+            for (i, v) in arr.iter().enumerate() {
+                let x = v
+                    .as_f64()
+                    .ok_or_else(|| "`image` entries must be numbers".to_string())?
+                    as f32;
+                // A JSON number beyond f32's range (e.g. 1e39) parses
+                // as an f64 but rounds to ±inf here.
+                if !x.is_finite() {
+                    return Err(format!("`image[{i}]` is not a finite f32"));
+                }
+                image.push(x);
             }
             Ok(Request::Infer { image })
         }
@@ -239,6 +244,8 @@ mod tests {
             b"{\"op\":\"warp\"}",
             b"{\"op\":\"infer\"}",
             b"{\"op\":\"infer\",\"image\":[\"x\"]}",
+            b"{\"op\":\"infer\",\"image\":[0.5,1e39]}",
+            b"{\"op\":\"infer\",\"image\":[-1e39]}",
         ] {
             assert!(parse_request(bad).is_err(), "{bad:?}");
         }

@@ -581,6 +581,17 @@ fn run_batch(
     let logits = out.as_slice();
     let classes = logits.len() / n;
     for (i, m) in members.iter().enumerate() {
+        let row = &logits[i * classes..(i + 1) * classes];
+        // The engine refuses non-finite activations by poisoning that
+        // image's logits with NaN (finite inputs can still overflow f32
+        // inside the float glue); never hand those back as `ok: true`.
+        if row.iter().any(|l| !l.is_finite()) {
+            shared.stats.record_error(worker);
+            let _ = m.reply.send(InferReply::Failed(
+                "non-finite activations: input out of range".to_string(),
+            ));
+            continue;
+        }
         let phases = PhaseSample {
             queue: m.popped.saturating_duration_since(m.enqueued),
             batch_form: sealed.saturating_duration_since(m.popped),
@@ -590,7 +601,7 @@ fn run_batch(
         let _ = m.reply.send(InferReply::Done {
             version: model.version,
             batch: n,
-            logits: logits[i * classes..(i + 1) * classes].to_vec(),
+            logits: row.to_vec(),
             phases,
         });
     }

@@ -6,6 +6,12 @@
 //! tests that validate both share one implementation instead of pulling
 //! in a serializer the workspace does not otherwise need.
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let one frame of
+/// `[`s overflow the parsing thread's stack; real documents here nest a
+/// handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON document node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -100,11 +106,13 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first syntax error.
+    /// Returns a human-readable description of the first syntax error,
+    /// including nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.parse_value()?;
@@ -243,6 +251,8 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -275,8 +285,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') | Some(b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if self.peek() == Some(b'[') {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             Some(other) => Err(format!(
                 "unexpected byte '{}' at {}",
@@ -561,6 +585,33 @@ mod tests {
             v = items[0].clone();
         }
         assert_eq!(v.as_f64(), Some(1.0));
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize, open: char, close: char| {
+            let mut text = String::new();
+            for _ in 0..depth {
+                text.push(open);
+                if open == '{' {
+                    text.push_str("\"k\":");
+                }
+            }
+            text.push('1');
+            for _ in 0..depth {
+                text.push(close);
+            }
+            text
+        };
+        assert!(JsonValue::parse(&nested(MAX_DEPTH, '[', ']')).is_ok());
+        assert!(JsonValue::parse(&nested(MAX_DEPTH, '{', '}')).is_ok());
+        for (open, close) in [('[', ']'), ('{', '}')] {
+            let err = JsonValue::parse(&nested(MAX_DEPTH + 1, open, close)).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        // 400 KB of `[` — far past any stack — fails fast.
+        let err = JsonValue::parse(&"[".repeat(400_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

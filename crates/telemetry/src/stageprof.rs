@@ -4,8 +4,9 @@
 //! cannot say *which layer* spent it. [`StageProf`] closes that gap with
 //! an always-on sampling profiler: for 1-in-N requests (by request id,
 //! see [`sampled`]) the engine fills a fixed-size [`StageSample`] —
-//! per-stage wall nanoseconds, per-stage op totals, and the resolved
-//! kernel dispatch path — and flushes it once per forward into a
+//! per-stage wall nanoseconds, per-stage op totals, per-stage lane vs
+//! scalar image counts, and the kernel path that actually ran — and
+//! flushes it once per forward into a
 //! per-worker shard. The hot path never allocates and never touches a
 //! shared lock: the scratch is a plain `[u64; MAX_STAGES]` ring the
 //! worker owns, and the flush takes the worker's *own* shard mutex
@@ -81,7 +82,7 @@ pub fn sampled(request_id: u64, every: u32) -> bool {
 }
 
 /// The fixed per-forward scratch the engine fills: no allocation, no
-/// span machinery — three flat arrays and a length, flushed once per
+/// span machinery — flat per-stage arrays and a length, flushed once per
 /// profiled forward via [`StageProf::record`].
 #[derive(Debug, Clone)]
 pub struct StageSample {
@@ -90,6 +91,10 @@ pub struct StageSample {
     pub truncated: u64,
     wall_ns: [u64; MAX_STAGES],
     ops: [u64; MAX_STAGES],
+    /// Per stage: images its integer kernels ran on SIMD lane blocks.
+    lane_images: [u64; MAX_STAGES],
+    /// Per stage: images its integer kernels ran on the scalar loop.
+    scalar_images: [u64; MAX_STAGES],
     kinds: [&'static str; MAX_STAGES],
     path: &'static str,
     images: u64,
@@ -102,6 +107,8 @@ impl Default for StageSample {
             truncated: 0,
             wall_ns: [0; MAX_STAGES],
             ops: [0; MAX_STAGES],
+            lane_images: [0; MAX_STAGES],
+            scalar_images: [0; MAX_STAGES],
             kinds: [""; MAX_STAGES],
             path: "",
             images: 0,
@@ -125,9 +132,24 @@ impl StageSample {
         self.images = 0;
     }
 
-    /// Appends one stage's wall time and op total. Stages past
-    /// [`MAX_STAGES`] are dropped and counted in `truncated`.
+    /// Appends one stage's wall time and op total (a stage that runs no
+    /// integer conv kernel). Stages past [`MAX_STAGES`] are dropped and
+    /// counted in `truncated`.
     pub fn record_stage(&mut self, kind: &'static str, wall_ns: u64, ops: u64) {
+        self.record_kernel_stage(kind, wall_ns, ops, 0, 0);
+    }
+
+    /// [`record_stage`](Self::record_stage) plus the engaged kernel path
+    /// split: `lane_images` ran on SIMD lane blocks, `scalar_images` on
+    /// the per-image scalar loop.
+    pub fn record_kernel_stage(
+        &mut self,
+        kind: &'static str,
+        wall_ns: u64,
+        ops: u64,
+        lane_images: u64,
+        scalar_images: u64,
+    ) {
         if self.len == MAX_STAGES {
             self.truncated += 1;
             return;
@@ -135,11 +157,13 @@ impl StageSample {
         self.kinds[self.len] = kind;
         self.wall_ns[self.len] = wall_ns;
         self.ops[self.len] = ops;
+        self.lane_images[self.len] = lane_images;
+        self.scalar_images[self.len] = scalar_images;
         self.len += 1;
     }
 
-    /// Tags the resolved kernel dispatch path (`avx2` / `portable` /
-    /// `scalar`) this forward ran with.
+    /// Tags the kernel path (`avx2` / `portable` / `scalar`) this
+    /// forward actually ran.
     pub fn set_path(&mut self, path: &'static str) {
         self.path = path;
     }
@@ -163,6 +187,11 @@ impl StageSample {
     pub fn stage(&self, i: usize) -> Option<(&'static str, u64, u64)> {
         (i < self.len).then(|| (self.kinds[i], self.wall_ns[i], self.ops[i]))
     }
+
+    /// One recorded stage's `(lane_images, scalar_images)` split.
+    pub fn stage_images(&self, i: usize) -> Option<(u64, u64)> {
+        (i < self.len).then(|| (self.lane_images[i], self.scalar_images[i]))
+    }
 }
 
 /// One stage's aggregated profile: identity, latency distribution, and
@@ -181,6 +210,10 @@ pub struct StageStat {
     pub ops: u64,
     /// Profiled forwards that recorded this stage.
     pub samples: u64,
+    /// Images this stage's integer kernels ran on SIMD lane blocks.
+    pub lane_images: u64,
+    /// Images this stage's integer kernels ran on the scalar loop.
+    pub scalar_images: u64,
 }
 
 impl StageStat {
@@ -198,6 +231,8 @@ impl StageStat {
         self.wall_ns += other.wall_ns;
         self.ops += other.ops;
         self.samples += other.samples;
+        self.lane_images += other.lane_images;
+        self.scalar_images += other.scalar_images;
     }
 }
 
@@ -257,6 +292,8 @@ impl StageTallies {
             stat.wall_ns += sample.wall_ns[i];
             stat.ops += sample.ops[i];
             stat.samples += 1;
+            stat.lane_images += sample.lane_images[i];
+            stat.scalar_images += sample.scalar_images[i];
         }
         self.forwards += 1;
         self.images += sample.images;
@@ -282,7 +319,8 @@ impl StageTallies {
     /// The tallies as a JSON object: forward/image/truncated counters,
     /// a `paths` object, and a `stages` array of per-layer rows
     /// (`index`, `kind`, `samples`, `time_share`, `wall_total_us`,
-    /// `wall_ms` percentiles, `ops`, `ops_per_sec`).
+    /// `wall_ms` percentiles, `ops`, `ops_per_sec`, and the engaged
+    /// `lane_images` / `scalar_images`).
     pub fn json(&self) -> JsonValue {
         let total_ns = self.total_wall_ns();
         let mut paths = JsonObject::new();
@@ -328,6 +366,8 @@ impl StageTallies {
                         "ops_per_sec",
                         if secs > 0.0 { s.ops as f64 / secs } else { 0.0 },
                     )
+                    .field("lane_images", s.lane_images)
+                    .field("scalar_images", s.scalar_images)
                     .build()
             })
             .collect();
@@ -600,6 +640,36 @@ mod tests {
         let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(lines[0], "serve;forward;stage.0.conv 1234");
         assert_eq!(lines[1], "serve;forward;stage.1.linear 500");
+    }
+
+    #[test]
+    fn engaged_image_splits_aggregate_per_stage() {
+        let mut s = StageSample::new();
+        s.record_kernel_stage("conv", 100, 9, 8, 1);
+        s.record_stage("leaky_relu", 10, 0);
+        assert_eq!(s.stage_images(0), Some((8, 1)));
+        assert_eq!(s.stage_images(1), Some((0, 0)));
+        assert_eq!(s.stage_images(2), None);
+        let mut tallies = StageTallies::default();
+        tallies.record(&s);
+        tallies.record(&s);
+        assert_eq!(
+            (
+                tallies.stages[0].lane_images,
+                tallies.stages[0].scalar_images
+            ),
+            (16, 2)
+        );
+        let json = tallies.json();
+        let row = &json.get("stages").and_then(JsonValue::as_array).unwrap()[0];
+        assert_eq!(
+            row.get("lane_images").and_then(JsonValue::as_f64),
+            Some(16.0)
+        );
+        assert_eq!(
+            row.get("scalar_images").and_then(JsonValue::as_f64),
+            Some(2.0)
+        );
     }
 
     #[test]
