@@ -4,16 +4,33 @@
 //! [`QuantNet`](flightnn::QuantNet) into a deployment pipeline where
 //! every convolution and fully connected layer runs on the integer
 //! kernels of this crate — shift-add for (F)LightNN weights, integer
-//! multiply for fixed-point weights — and everything else (batch norm
-//! with running statistics, LeakyReLU, pooling) runs as cheap float
-//! glue, exactly as an accelerator would keep them in wider fixed point.
+//! multiply for fixed-point weights.
+//!
+//! Between integer layers activations stay integer. Compilation fuses
+//! every `Conv → [BatchNorm] → [LeakyReLU] → [ActQuant]` run into one
+//! conv stage: its epilogue applies the bias, the batch-norm affine and
+//! the LeakyReLU in place over the conv's f32 output (in the f32
+//! operation order of the standalone layers), then quantizes each image
+//! into 8-bit codes plus one scale, held in code arenas of the
+//! [`ExecCtx`] scratch. Max pooling and flatten run on those codes (max
+//! commutes with `c ↦ c · s` for `s ≥ 0`), and the next conv or linear
+//! layer takes them directly: it replays the scale its own quantizer
+//! would derive from the dequantized values, copies the codes when that
+//! scale is unchanged and translates them through a per-image map
+//! otherwise. Codes are dequantized only for float consumers — a
+//! residual add, global average pooling, and the logits. Network 1
+//! compiles to 12 stages (7 fused convs, 3 pools, flatten, linear), and
+//! its logits are bit-identical to running each layer on its own,
+//! re-quantizing dequantized floats at every conv (`tests/golden.rs`
+//! pins that).
 //!
 //! Compilation is configured through [`CompileOptions`]: batch-norm
-//! folding (the standard deployment transform — folded and unfolded
-//! pipelines produce identical results), a telemetry handle, and an
-//! [`ExecutionPolicy`] selecting sequential or multi-threaded batched
-//! execution. A single [`IntNetwork::forward`] dispatches internally to
-//! the traced/untraced and sequential/parallel paths.
+//! folding (the standard deployment transform; see
+//! [`CompileOptions::fold_batch_norm`] for how close the folded results
+//! are), a telemetry handle, and an [`ExecutionPolicy`] selecting
+//! sequential or multi-threaded batched execution. A single
+//! [`IntNetwork::forward`] dispatches internally to the traced/untraced
+//! and sequential/parallel paths.
 //!
 //! The engine surface is split **request-first**: [`CompiledNet`] is the
 //! immutable, `Send + Sync` compile-time half (the lowered stage list)
@@ -32,6 +49,8 @@
 //! The compiled network reports aggregate [`OpCounts`], so a single
 //! forward pass measures exactly how many shifts/multiplies/adds the
 //! model costs — the numbers the ASIC energy model prices.
+
+use std::borrow::Cow;
 
 use flight_nn::layers::MaxPool2d;
 use flight_telemetry::{StageSample, Telemetry};
@@ -61,15 +80,17 @@ pub(crate) enum IntWeights {
 
 #[derive(Debug, Clone)]
 pub(crate) enum IntLayer {
+    /// A conv with its fused epilogue.
     Conv {
         weights: IntWeights,
         bias: Tensor,
         stride: usize,
         padding: usize,
         act_bits: u32,
+        epilogue: Epilogue,
     },
-    /// Per-channel `y = scale·x + bias` (a batch norm at inference time,
-    /// possibly folded away into the conv epilogue).
+    /// Per-channel `y = scale·x + bias` (a batch norm at inference time)
+    /// that no conv absorbed.
     Affine {
         scale: Tensor,
         bias: Tensor,
@@ -92,10 +113,27 @@ pub(crate) enum IntLayer {
         shortcut: Option<Vec<IntLayer>>,
         slope: f32,
     },
-    /// Activation requantization markers are free at run time (the conv
-    /// entry quantizes its own input) but kept for shape fidelity.
+    /// 8-bit activation requantization that no conv absorbed: float in,
+    /// codes out.
     Requant,
 }
+
+/// What a conv stage does to its float output before handing it on, in
+/// this order, element by element: the conv bias, an absorbed batch-norm
+/// affine, an absorbed LeakyReLU, and an absorbed requantization into
+/// per-image 8-bit codes.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Epilogue {
+    /// Per-channel `(scale, bias)`.
+    affine: Option<(Tensor, Tensor)>,
+    /// LeakyReLU slope.
+    leaky: Option<f32>,
+    /// Whether the stage hands on 8-bit codes instead of floats.
+    requant: bool,
+}
+
+/// The bits every requantization (fused or not) quantizes to.
+const REQUANT_BITS: u32 = 8;
 
 /// Errors from [`IntNetwork::compile_with`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,8 +226,11 @@ impl CompileOptions {
         CompileOptions::default()
     }
 
-    /// Folds batch norms into the preceding conv's affine epilogue
-    /// (bit-identical results, fewer stages).
+    /// Folds each conv's bias into the following batch norm's bias —
+    /// `a·(v + cb) + b` becomes `a·v + (a·cb + b)`. This is not
+    /// bit-identical: the two forms round differently in f32, so folded
+    /// logits agree with unfolded ones to about 1e-5, not bit for bit.
+    /// The stage count is the same either way.
     pub fn fold_batch_norm(mut self, fold: bool) -> Self {
         self.fold_batch_norm = fold;
         self
@@ -336,9 +377,11 @@ fn emit_dispatch(telemetry: &Telemetry, path: KernelPath) {
 }
 
 impl CompiledNet {
-    /// Lowers a trained network to the integer stage list; with
-    /// `fold_batch_norm`, batch norms fold into the preceding conv's
-    /// affine epilogue (bit-identical results, fewer stages).
+    /// Lowers a trained network to the integer stage list, fusing each
+    /// conv with the batch norm, LeakyReLU and requantization that
+    /// follow it. With `fold_batch_norm`, conv biases fold into the batch
+    /// norms first — close to, but not bit-identical with, the unfolded
+    /// results (see [`CompileOptions::fold_batch_norm`]).
     ///
     /// # Errors
     ///
@@ -350,10 +393,12 @@ impl CompiledNet {
         if fold_batch_norm {
             fold_affines(&mut layers);
         }
-        Ok(CompiledNet { layers })
+        Ok(CompiledNet {
+            layers: fuse_epilogues(layers),
+        })
     }
 
-    /// Number of pipeline stages (after folding, if any).
+    /// Number of pipeline stages (after epilogue fusion).
     pub fn stages(&self) -> usize {
         self.layers.len()
     }
@@ -438,20 +483,13 @@ impl CompiledNet {
         sample.reset();
         sample.set_images(input.dims().first().copied().unwrap_or(0) as u64);
         let mut counts = OpCounts::default();
-        let mut owned: Option<Tensor> = None;
+        let mut x = Act::Float(Cow::Borrowed(input));
         let mut any_lanes = false;
         ctx.scratch.lanes.take_engaged();
         for layer in &self.layers {
             let before = counts;
             let start = std::time::Instant::now();
-            let x = owned.as_ref().unwrap_or(input);
-            owned = Some(run_layer(
-                layer,
-                &ctx.telemetry,
-                x,
-                &mut counts,
-                &mut ctx.scratch,
-            ));
+            x = run_layer(layer, &ctx.telemetry, x, &mut counts, &mut ctx.scratch);
             let wall_ns = start.elapsed().as_nanos() as u64;
             let (lane, scalar) = ctx.scratch.lanes.take_engaged();
             any_lanes |= lane > 0;
@@ -468,7 +506,7 @@ impl CompiledNet {
         } else {
             KernelPath::Scalar.name()
         });
-        (owned.unwrap_or_else(|| input.clone()), counts)
+        (x.into_float(&mut ctx.scratch).into_owned(), counts)
     }
 
     /// Sequential execution with per-stage spans and counters.
@@ -479,19 +517,12 @@ impl CompiledNet {
         let mut counts = OpCounts::default();
         // Borrow the input for the first stage instead of cloning it;
         // every later stage consumes the previous stage's output.
-        let mut owned: Option<Tensor> = None;
+        let mut x = Act::Float(Cow::Borrowed(input));
         for (i, layer) in self.layers.iter().enumerate() {
             let before = counts;
             let name = format!("kernel.stage.{i:02}.{}", stage_kind(layer));
             let stage_span = ctx.telemetry.span(&name);
-            let x = owned.as_ref().unwrap_or(input);
-            owned = Some(run_layer(
-                layer,
-                &ctx.telemetry,
-                x,
-                &mut counts,
-                &mut ctx.scratch,
-            ));
+            x = run_layer(layer, &ctx.telemetry, x, &mut counts, &mut ctx.scratch);
             drop(stage_span);
             for (field, n) in counts.delta(before).fields() {
                 if n > 0 {
@@ -500,7 +531,7 @@ impl CompiledNet {
             }
         }
         drop(forward_span);
-        (owned.unwrap_or_else(|| input.clone()), counts)
+        (x.into_float(&mut ctx.scratch).into_owned(), counts)
     }
 }
 
@@ -601,7 +632,7 @@ impl IntNetwork {
         self.policy
     }
 
-    /// Number of pipeline stages (after folding, if any).
+    /// Number of pipeline stages (after epilogue fusion).
     pub fn stages(&self) -> usize {
         self.net.stages()
     }
@@ -775,6 +806,7 @@ fn compile_conv(conv: &mut QuantConv2d) -> IntLayer {
         stride: conv.stride(),
         padding: conv.padding(),
         act_bits: 8,
+        epilogue: Epilogue::default(),
     }
 }
 
@@ -804,9 +836,10 @@ fn compile_linear(lin: &mut QuantLinear) -> IntLayer {
 }
 
 /// Folds the bias of every `Conv` directly followed by an `Affine` into
-/// that affine: `a·(conv + bias) + b = a·conv + (a·bias + b)`. The conv
-/// epilogue then adds nothing (its bias is zeroed), which is the standard
-/// batch-norm-folding deployment transform; results are bit-identical.
+/// that affine: `a·(conv + bias) + b = a·conv + (a·bias + b)` in exact
+/// arithmetic. The conv then adds a zero bias, which is the standard
+/// batch-norm-folding deployment transform. In f32 the two sides round
+/// differently, so folded results move by a few ulps, not bit for bit.
 fn fold_affines(layers: &mut [IntLayer]) {
     let mut i = 0;
     while i + 1 < layers.len() {
@@ -845,9 +878,112 @@ fn fold_affines(layers: &mut [IntLayer]) {
     }
 }
 
+/// Fuses every `Conv → [Affine] → [LeakyRelu] → [Requant]` run into one
+/// conv stage whose epilogue applies them in place (see [`Epilogue`]),
+/// recursing into residual blocks. Network 1 drops from 33 stages to
+/// 12: seven fused convs, three pools, flatten, linear.
+fn fuse_epilogues(layers: Vec<IntLayer>) -> Vec<IntLayer> {
+    let mut out: Vec<IntLayer> = Vec::with_capacity(layers.len());
+    for layer in layers {
+        let last = out.last_mut();
+        match (last, layer) {
+            (Some(IntLayer::Conv { epilogue, .. }), IntLayer::Affine { scale, bias })
+                if epilogue.affine.is_none() && epilogue.leaky.is_none() && !epilogue.requant =>
+            {
+                epilogue.affine = Some((scale, bias));
+            }
+            (Some(IntLayer::Conv { epilogue, .. }), IntLayer::LeakyRelu { slope })
+                if epilogue.leaky.is_none() && !epilogue.requant =>
+            {
+                epilogue.leaky = Some(slope);
+            }
+            (Some(IntLayer::Conv { epilogue, .. }), IntLayer::Requant) if !epilogue.requant => {
+                epilogue.requant = true;
+            }
+            (
+                _,
+                IntLayer::Residual {
+                    main,
+                    shortcut,
+                    slope,
+                },
+            ) => out.push(IntLayer::Residual {
+                main: fuse_epilogues(main),
+                shortcut: shortcut.map(fuse_epilogues),
+                slope,
+            }),
+            (_, layer) => out.push(layer),
+        }
+    }
+    out
+}
+
+/// Activations between stages: floats (the caller's input is borrowed,
+/// never cloned), or requantized per-image codes in a scratch arena.
+#[derive(Debug)]
+enum Act<'a> {
+    Float(Cow<'a, Tensor>),
+    Codes(Codes),
+}
+
+/// Requantized activations: `arenas[arena]` holds `codes · scale` per
+/// image for a batch of shape `dims[..rank]`.
+#[derive(Debug, Clone, Copy)]
+struct Codes {
+    arena: usize,
+    dims: [usize; 4],
+    rank: usize,
+}
+
+impl Codes {
+    fn new(arena: usize, dims: &[usize]) -> Codes {
+        let mut fixed = [1; 4];
+        fixed[..dims.len()].copy_from_slice(dims);
+        Codes {
+            arena,
+            dims: fixed,
+            rank: dims.len(),
+        }
+    }
+
+    fn dims(&self) -> &[usize] {
+        &self.dims[..self.rank]
+    }
+}
+
+impl<'a> Act<'a> {
+    fn dims(&self) -> &[usize] {
+        match self {
+            Act::Float(t) => t.dims(),
+            Act::Codes(c) => c.dims(),
+        }
+    }
+
+    /// The float activations, dequantizing codes (`c as f32 · scale`,
+    /// exactly the values a standalone requant stage used to emit) and
+    /// freeing their arena.
+    fn into_float(self, scratch: &mut Scratch) -> Cow<'a, Tensor> {
+        match self {
+            Act::Float(t) => t,
+            Act::Codes(c) => {
+                let arena = &scratch.arenas[c.arena];
+                let per = arena.codes.len() / arena.scales.len().max(1);
+                let mut data = Vec::with_capacity(arena.codes.len());
+                if per > 0 {
+                    for (img, &s) in arena.codes.chunks_exact(per).zip(&arena.scales) {
+                        data.extend(img.iter().map(|&v| v as f32 * s));
+                    }
+                }
+                scratch.release(c.arena);
+                Cow::Owned(Tensor::from_vec(data, c.dims()))
+            }
+        }
+    }
+}
+
 /// Runs the full stage list sequentially. The input is borrowed for the
-/// first stage (no upfront clone); `scratch` holds the reusable
-/// activation-quantization buffers.
+/// first stage (no upfront clone); `scratch` holds the reusable planes,
+/// accumulators and code arenas.
 pub(crate) fn run_layers(
     layers: &[IntLayer],
     telemetry: &Telemetry,
@@ -855,12 +991,27 @@ pub(crate) fn run_layers(
     counts: &mut OpCounts,
     scratch: &mut Scratch,
 ) -> Tensor {
-    let mut owned: Option<Tensor> = None;
+    let out = walk(
+        layers,
+        telemetry,
+        Act::Float(Cow::Borrowed(input)),
+        counts,
+        scratch,
+    );
+    out.into_float(scratch).into_owned()
+}
+
+fn walk<'a>(
+    layers: &[IntLayer],
+    telemetry: &Telemetry,
+    mut x: Act<'a>,
+    counts: &mut OpCounts,
+    scratch: &mut Scratch,
+) -> Act<'a> {
     for layer in layers {
-        let x = owned.as_ref().unwrap_or(input);
-        owned = Some(run_layer(layer, telemetry, x, counts, scratch));
+        x = run_layer(layer, telemetry, x, counts, scratch);
     }
-    owned.unwrap_or_else(|| input.clone())
+    x
 }
 
 /// Emits the `kernel.lowering` span and gauges describing how an integer
@@ -919,97 +1070,207 @@ fn emit_saturation(
     telemetry.counter(&format!("kernel.qact.{stage}.quantized"), real as u64, "op");
 }
 
-/// One integer conv over `x` with whichever datapath the layer compiled
-/// to. Integer datapaths quantize each image straight into a zero-padded
-/// plane in the scratch buffers — the one place padding happens — and
-/// the lowered core sweeps the whole output map over it. `stage` labels
-/// the quantization site (`"conv"` / `"linear"`) in the saturation
-/// counters.
+/// One conv stage over `x` (viewed as `[n, c, h, w]`) with whichever
+/// datapath the layer compiled to, then its epilogue. Integer datapaths
+/// first fill the zero-padded planes in the scratch buffers — the one
+/// place padding happens — by quantizing floats or re-gridding the
+/// previous stage's codes, and the lowered core sweeps the whole output
+/// map over them. `stage` labels the quantization site (`"conv"` /
+/// `"linear"`) in the saturation counters; a `linear` stage shapes its
+/// result `[n, f]` instead of `[n, f, oh, ow]`.
 #[allow(clippy::too_many_arguments)]
-fn conv_stage(
+fn conv_stage<'a>(
     weights: &IntWeights,
     telemetry: &Telemetry,
     stage: &'static str,
     act_bits: u32,
-    x: &Tensor,
+    x: Act<'a>,
+    [n, c, h, w]: [usize; 4],
     stride: usize,
     padding: usize,
+    bias: &Tensor,
+    epilogue: &Epilogue,
+    linear: bool,
     counts: &mut OpCounts,
     scratch: &mut Scratch,
-) -> Tensor {
-    // Quantizes `x` into padded planes and shapes the output tensor.
-    let prepare = |scratch: &mut Scratch, kernel: usize, filters: usize| {
-        let d = x.dims();
-        assert_eq!(d.len(), 4, "conv input must be [n, c, h, w]");
-        QuantActivations::quantize_padded_into(
-            x,
-            act_bits,
-            padding,
-            &mut scratch.codes,
-            &mut scratch.scales,
-        );
-        emit_saturation(telemetry, stage, &scratch.codes, x.len(), act_bits);
-        let geom = Conv2dGeometry::new(d[1], d[2], d[3], kernel, stride, padding);
-        let out = Tensor::zeros(&[d[0], filters, geom.out_h, geom.out_w]);
-        (geom, out)
+) -> Act<'a> {
+    let (kernel, filters) = match weights {
+        IntWeights::Shift(k) => (k.kernel_size(), k.filters()),
+        IntWeights::Fixed(fw) => (fw.dims()[2], fw.dims()[0]),
+        IntWeights::Float(wt) => (wt.dims()[2], wt.dims()[0]),
     };
-    match weights {
-        IntWeights::Shift(kernel) => {
-            let (geom, mut out) = prepare(scratch, kernel.kernel_size(), kernel.filters());
-            let span = lowering_span(telemetry, kernel.lowering_stats(&geom));
-            shift_add_conv_core(
-                &scratch.codes,
-                &scratch.scales,
-                &geom,
-                kernel,
-                out.as_mut_slice(),
-                counts,
-                &mut scratch.lanes,
-            );
-            drop(span);
-            out
-        }
-        IntWeights::Fixed(fw) => {
-            let (geom, mut out) = prepare(scratch, fw.dims()[2], fw.dims()[0]);
-            let span = lowering_span(telemetry, fw.lowering_stats(&geom));
-            fixed_point_conv_core(
-                &scratch.codes,
-                &scratch.scales,
-                &geom,
-                fw,
-                out.as_mut_slice(),
-                counts,
-                &mut scratch.lanes,
-            );
-            drop(span);
-            out
-        }
-        IntWeights::Float(w) => {
-            let (o, _) = flight_nn::layers::functional::conv2d_forward(
-                x,
-                w,
-                &Tensor::zeros(&[w.dims()[0]]),
-                stride,
+    let geom = Conv2dGeometry::new(c, h, w, kernel, stride, padding);
+    let conv_dims = [n, filters, geom.out_h, geom.out_w];
+    let out_dims: &[usize] = if linear { &conv_dims[..2] } else { &conv_dims };
+    let mut out = if epilogue.requant {
+        std::mem::take(&mut scratch.acc)
+    } else {
+        Vec::new()
+    };
+    out.clear();
+    out.resize(n * filters * geom.out_positions(), 0.0);
+
+    if let IntWeights::Float(wt) = weights {
+        let xt = x.into_float(scratch);
+        let (o, _) = flight_nn::layers::functional::conv2d_forward(
+            &xt.reshape(&[n, c, h, w]),
+            wt,
+            &Tensor::zeros(&[filters]),
+            stride,
+            padding,
+            false,
+        );
+        // macs = weights × output positions × batch.
+        let macs = (wt.len() * o.len() / filters.max(1)) as u64;
+        counts.float_mults += macs;
+        counts.float_adds += macs;
+        out.copy_from_slice(o.as_slice());
+    } else {
+        match x {
+            Act::Float(t) => QuantActivations::quantize_padded_slice_into(
+                t.as_slice(),
+                [n, c, h, w],
+                act_bits,
                 padding,
-                false,
-            );
-            // macs = weights × output positions × batch.
-            let filters = w.dims()[0];
-            let macs = (w.len() * o.len() / filters.max(1)) as u64;
-            counts.float_mults += macs;
-            counts.float_adds += macs;
-            o
+                &mut scratch.codes,
+                &mut scratch.scales,
+            ),
+            Act::Codes(src) => {
+                let arena = &scratch.arenas[src.arena];
+                QuantActivations::regrid_padded_into(
+                    &arena.codes,
+                    &arena.scales,
+                    [c, h, w],
+                    act_bits,
+                    padding,
+                    &mut scratch.codes,
+                    &mut scratch.scales,
+                );
+                scratch.release(src.arena);
+            }
+        }
+        emit_saturation(telemetry, stage, &scratch.codes, n * c * h * w, act_bits);
+        match weights {
+            IntWeights::Shift(kernel) => {
+                let span = lowering_span(telemetry, kernel.lowering_stats(&geom));
+                shift_add_conv_core(
+                    &scratch.codes,
+                    &scratch.scales,
+                    &geom,
+                    kernel,
+                    &mut out,
+                    counts,
+                    &mut scratch.lanes,
+                );
+                drop(span);
+            }
+            IntWeights::Fixed(fw) => {
+                let span = lowering_span(telemetry, fw.lowering_stats(&geom));
+                fixed_point_conv_core(
+                    &scratch.codes,
+                    &scratch.scales,
+                    &geom,
+                    fw,
+                    &mut out,
+                    counts,
+                    &mut scratch.lanes,
+                );
+                drop(span);
+            }
+            IntWeights::Float(_) => unreachable!("handled above"),
+        }
+    }
+
+    apply_epilogue(&mut out, filters, geom.out_positions(), bias, epilogue);
+    if !epilogue.requant {
+        return Act::Float(Cow::Owned(Tensor::from_vec(out, out_dims)));
+    }
+    let codes = requant(&out, out_dims, telemetry, scratch);
+    scratch.acc = out;
+    Act::Codes(codes)
+}
+
+/// Quantizes a `dims` batch of floats per image to 8-bit codes in a
+/// fresh code arena.
+fn requant(x: &[f32], dims: &[usize], telemetry: &Telemetry, scratch: &mut Scratch) -> Codes {
+    let arena = scratch.acquire();
+    let dst = &mut scratch.arenas[arena];
+    QuantActivations::quantize_images_into(
+        x,
+        dims[0],
+        REQUANT_BITS,
+        &mut dst.codes,
+        &mut dst.scales,
+    );
+    emit_saturation(telemetry, "requant", &dst.codes, x.len(), REQUANT_BITS);
+    Codes::new(arena, dims)
+}
+
+/// Applies a conv stage's bias and epilogue in place over `[n, f, …]`
+/// outputs with `positions` values per channel, each element through
+/// the same f32 operations, in the same order, as the standalone bias,
+/// affine and LeakyReLU stages (no fused multiply-add).
+fn apply_epilogue(
+    out: &mut [f32],
+    filters: usize,
+    positions: usize,
+    bias: &Tensor,
+    epilogue: &Epilogue,
+) {
+    if positions == 0 {
+        return;
+    }
+    for (i, chunk) in out.chunks_exact_mut(positions).enumerate() {
+        let ch = i % filters;
+        let add = bias.as_slice()[ch];
+        let affine = epilogue
+            .affine
+            .as_ref()
+            .map(|(a, b)| (a.as_slice()[ch], b.as_slice()[ch]));
+        for v in chunk {
+            let mut y = *v + add;
+            if let Some((a, b)) = affine {
+                y = a * y + b;
+            }
+            if let Some(slope) = epilogue.leaky {
+                y = if y > 0.0 { y } else { slope * y };
+            }
+            *v = y;
         }
     }
 }
 
-pub(crate) fn run_layer(
+/// 2-D max pooling over requantized codes, `window × window` with the
+/// same stride. Max commutes with dequantization — `c ↦ c · s` is
+/// monotone for `s ≥ 0` — so pooling codes and keeping each image's
+/// scale equals pooling the dequantized floats.
+fn max_pool_codes(src: &[i32], dst: &mut Vec<i32>, [n, c, h, w]: [usize; 4], k: usize) {
+    assert!(
+        h % k == 0 && w % k == 0,
+        "input {h}x{w} not divisible by pool window {k}"
+    );
+    let (oh, ow) = (h / k, w / k);
+    dst.clear();
+    dst.resize(n * c * oh * ow, 0);
+    for (plane, out) in src.chunks_exact(h * w).zip(dst.chunks_exact_mut(oh * ow)) {
+        for (band, out_row) in plane.chunks_exact(k * w).zip(out.chunks_exact_mut(ow)) {
+            out_row.fill(i32::MIN);
+            for row in band.chunks_exact(w) {
+                for (slot, window) in out_row.iter_mut().zip(row.chunks_exact(k)) {
+                    *slot = window.iter().fold(*slot, |m, &v| m.max(v));
+                }
+            }
+        }
+    }
+}
+
+fn run_layer<'a>(
     layer: &IntLayer,
     telemetry: &Telemetry,
-    x: &Tensor,
+    x: Act<'a>,
     counts: &mut OpCounts,
     scratch: &mut Scratch,
-) -> Tensor {
+) -> Act<'a> {
     match layer {
         IntLayer::Conv {
             weights,
@@ -1017,98 +1278,137 @@ pub(crate) fn run_layer(
             stride,
             padding,
             act_bits,
+            epilogue,
         } => {
-            let mut out = conv_stage(
-                weights, telemetry, "conv", *act_bits, x, *stride, *padding, counts, scratch,
-            );
-            add_channel_bias(&mut out, bias);
-            out
+            let d = x.dims();
+            assert_eq!(d.len(), 4, "conv input must be [n, c, h, w]");
+            let dims = [d[0], d[1], d[2], d[3]];
+            conv_stage(
+                weights, telemetry, "conv", *act_bits, x, dims, *stride, *padding, bias, epilogue,
+                false, counts, scratch,
+            )
         }
         IntLayer::Linear {
             weights,
             bias,
             act_bits,
         } => {
-            // Lift [n, f] to [n, f, 1, 1] and reuse the conv kernels.
-            let n = x.dims()[0];
-            let f = x.len() / n.max(1);
-            let as_img = x.reshape(&[n, f, 1, 1]);
-            let mut out = conv_stage(
-                weights, telemetry, "linear", *act_bits, &as_img, 1, 0, counts, scratch,
-            );
-            add_channel_bias(&mut out, bias);
-            let classes = out.len() / n.max(1);
-            out.reshape_in_place(&[n, classes]);
-            out
+            // A linear layer is a 1×1 conv on `[n, f, 1, 1]`.
+            let d = x.dims();
+            let n = d[0];
+            let f = d.iter().product::<usize>() / n.max(1);
+            conv_stage(
+                weights,
+                telemetry,
+                "linear",
+                *act_bits,
+                x,
+                [n, f, 1, 1],
+                1,
+                0,
+                bias,
+                &Epilogue::default(),
+                true,
+                counts,
+                scratch,
+            )
         }
         IntLayer::Affine { scale, bias } => {
-            let mut out = x.clone();
+            let mut out = x.into_float(scratch).into_owned();
             scale_channels(&mut out, scale, bias);
-            out
+            Act::Float(Cow::Owned(out))
         }
         IntLayer::LeakyRelu { slope } => {
             let s = *slope;
-            x.map(|v| if v > 0.0 { v } else { s * v })
+            let mut out = x.into_float(scratch).into_owned();
+            out.map_in_place(|v| if v > 0.0 { v } else { s * v });
+            Act::Float(Cow::Owned(out))
         }
-        IntLayer::MaxPool { window } => {
-            let mut pool = MaxPool2d::new(*window);
-            flight_nn::Layer::forward(&mut pool, x, false)
-        }
+        IntLayer::MaxPool { window } => match x {
+            Act::Codes(src) => {
+                let d = src.dims();
+                let dims = [d[0], d[1], d[2], d[3]];
+                let (k, out_dims) = (*window, [d[0], d[1], d[2] / window, d[3] / window]);
+                let arena = scratch.acquire();
+                let mut codes = std::mem::take(&mut scratch.arenas[arena].codes);
+                let mut scales = std::mem::take(&mut scratch.arenas[arena].scales);
+                let from = &scratch.arenas[src.arena];
+                max_pool_codes(&from.codes, &mut codes, dims, k);
+                scales.clear();
+                scales.extend_from_slice(&from.scales);
+                scratch.arenas[arena].codes = codes;
+                scratch.arenas[arena].scales = scales;
+                scratch.release(src.arena);
+                Act::Codes(Codes::new(arena, &out_dims))
+            }
+            Act::Float(t) => {
+                let mut pool = MaxPool2d::new(*window);
+                Act::Float(Cow::Owned(flight_nn::Layer::forward(&mut pool, &t, false)))
+            }
+        },
         IntLayer::GlobalAvgPool => {
+            let t = x.into_float(scratch);
             let mut gap = flight_nn::layers::GlobalAvgPool::new();
-            flight_nn::Layer::forward(&mut gap, x, false)
+            Act::Float(Cow::Owned(flight_nn::Layer::forward(&mut gap, &t, false)))
         }
         IntLayer::Flatten => {
-            let n = x.dims()[0];
-            x.reshape(&[n, x.len() / n.max(1)])
+            let d = x.dims();
+            let flat = [d[0], d.iter().product::<usize>() / d[0].max(1)];
+            match x {
+                Act::Codes(c) => Act::Codes(Codes::new(c.arena, &flat)),
+                Act::Float(Cow::Owned(mut t)) => {
+                    t.reshape_in_place(&flat);
+                    Act::Float(Cow::Owned(t))
+                }
+                Act::Float(Cow::Borrowed(t)) => Act::Float(Cow::Owned(t.reshape(&flat))),
+            }
         }
         IntLayer::Requant => {
-            QuantActivations::quantize_per_image_into(
-                x,
-                8,
-                &mut scratch.codes,
-                &mut scratch.scales,
-            );
-            emit_saturation(telemetry, "requant", &scratch.codes, x.len(), 8);
-            let n = x.dims()[0];
-            let stride = x.len().checked_div(n).unwrap_or(0);
-            let mut data = Vec::with_capacity(x.len());
-            for (b, &s) in scratch.scales.iter().enumerate() {
-                data.extend(
-                    scratch.codes[b * stride..(b + 1) * stride]
-                        .iter()
-                        .map(|&c| c as f32 * s),
-                );
-            }
-            Tensor::from_vec(data, x.dims())
+            let t = x.into_float(scratch);
+            Act::Codes(requant(t.as_slice(), t.dims(), telemetry, scratch))
         }
         IntLayer::Residual {
             main,
             shortcut,
             slope,
         } => {
-            let main_out = run_layers(main, telemetry, x, counts, scratch);
-            let short_out = match shortcut {
-                Some(sc) => run_layers(sc, telemetry, x, counts, scratch),
-                None => x.clone(),
+            // Both branches read the block input: codes stay in their
+            // arena with a second reader, floats are borrowed.
+            let (main_out, short_out) = match x {
+                Act::Codes(c) => {
+                    scratch.retain(c.arena);
+                    let main_out = walk(main, telemetry, Act::Codes(c), counts, scratch);
+                    let main_out = main_out.into_float(scratch).into_owned();
+                    let short_out = match shortcut {
+                        Some(sc) => walk(sc, telemetry, Act::Codes(c), counts, scratch),
+                        None => Act::Codes(c),
+                    };
+                    (main_out, short_out.into_float(scratch).into_owned())
+                }
+                Act::Float(t) => {
+                    let t: &Tensor = &t;
+                    let main_out = walk(
+                        main,
+                        telemetry,
+                        Act::Float(Cow::Borrowed(t)),
+                        counts,
+                        scratch,
+                    );
+                    let main_out = main_out.into_float(scratch).into_owned();
+                    let short_out = match shortcut {
+                        Some(sc) => {
+                            walk(sc, telemetry, Act::Float(Cow::Borrowed(t)), counts, scratch)
+                                .into_float(scratch)
+                                .into_owned()
+                        }
+                        None => t.clone(),
+                    };
+                    (main_out, short_out)
+                }
             };
             let sum = &main_out + &short_out;
             let s = *slope;
-            sum.map(|v| if v > 0.0 { v } else { s * v })
-        }
-    }
-}
-
-fn add_channel_bias(out: &mut Tensor, bias: &Tensor) {
-    let (n, c) = (out.dims()[0], out.dims()[1]);
-    let plane = out.len() / (n * c).max(1);
-    for b in 0..n {
-        for ch in 0..c {
-            let add = bias.as_slice()[ch];
-            let base = (b * c + ch) * plane;
-            for v in &mut out.as_mut_slice()[base..base + plane] {
-                *v += add;
-            }
+            Act::Float(Cow::Owned(sum.map(|v| if v > 0.0 { v } else { s * v })))
         }
     }
 }

@@ -25,11 +25,12 @@ use crate::counts::OpCounts;
 use crate::engine::{run_layers, IntLayer};
 use crate::simd::{KernelPath, LaneCtx};
 
-/// Per-worker reusable buffers for activation quantization — integer
-/// codes plus one scale per image — and the lane context (dispatch
-/// path plus the batch-blocked SIMD arena). Cleared and refilled by
-/// every conv stage, so the backing allocations grow to the largest
-/// activation plane once and are reused from then on.
+/// Per-worker reusable buffers: the padded integer planes a conv stage
+/// reads, the float accumulator a fused conv stage's epilogue works in,
+/// the code arenas requantized activations travel between stages in,
+/// and the lane context (dispatch path plus the batch-blocked SIMD
+/// arena). Every buffer grows to the largest stage once and is reused
+/// from then on, so a warmed walk allocates nothing here.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// Integer activation codes, row-major over the whole chunk; conv
@@ -37,9 +38,24 @@ pub(crate) struct Scratch {
     pub codes: Vec<i32>,
     /// One quantization scale per image.
     pub scales: Vec<f32>,
+    /// A fused conv stage's float output, before it is requantized.
+    pub acc: Vec<f32>,
+    /// Requantized activations between stages. A straight pipeline
+    /// ping-pongs between two; a residual block holds its input's arena
+    /// while its branches run, which may add a third.
+    pub arenas: Vec<CodeArena>,
     /// Kernel dispatch path plus the lane-major blocked arena the SIMD
     /// lanes read.
     pub lanes: LaneCtx,
+}
+
+/// One image batch of requantized activations, `codes · scale` per
+/// image, plus the number of live readers.
+#[derive(Debug, Default)]
+pub(crate) struct CodeArena {
+    pub codes: Vec<i32>,
+    pub scales: Vec<f32>,
+    readers: u32,
 }
 
 impl Scratch {
@@ -47,10 +63,30 @@ impl Scratch {
     /// engine resolves the path once per compile; workers inherit it).
     pub fn with_path(path: KernelPath) -> Self {
         Scratch {
-            codes: Vec::new(),
-            scales: Vec::new(),
             lanes: LaneCtx::with_path(path),
+            ..Scratch::default()
         }
+    }
+
+    /// An arena no live value reads, now with one reader.
+    pub fn acquire(&mut self) -> usize {
+        let free = self.arenas.iter().position(|a| a.readers == 0);
+        let i = free.unwrap_or_else(|| {
+            self.arenas.push(CodeArena::default());
+            self.arenas.len() - 1
+        });
+        self.arenas[i].readers = 1;
+        i
+    }
+
+    /// Adds a reader to arena `i` (a residual block's second branch).
+    pub fn retain(&mut self, i: usize) {
+        self.arenas[i].readers += 1;
+    }
+
+    /// Drops one reader of arena `i`; with none left it is free.
+    pub fn release(&mut self, i: usize) {
+        self.arenas[i].readers -= 1;
     }
 }
 

@@ -23,13 +23,15 @@
 //!   activations are quantized with one scale per image.
 //!
 //! Both integer datapaths run **lowered tap programs** over a pad-once
-//! layout: each conv stage quantizes every image straight into a
-//! zero-padded plane `[c, h + 2p, w + 2p]` (held in the engine's
-//! per-worker scratch), and each kernel is compiled once per layer
-//! geometry into flat offsets into that plane — 8 bytes per tap, with
-//! shift and sign packed into one `u32` for the shift path (the `lower`
-//! module). Every output position, border ring included, then runs one
-//! branchless program: a padding tap reads a zero and adds exactly 0.
+//! layout: each conv stage fills a zero-padded plane `[c, h + 2p, w + 2p]`
+//! per image (held in the engine's per-worker scratch), and each kernel
+//! is compiled once per layer geometry into flat `u32` offsets into that
+//! plane (the `lower` module). The shift path groups each filter's taps
+//! by shift amount: a small `[shift, start, pos_end, neg_end]` table per
+//! filter says which offsets are summed, with plain adds, before one
+//! shift per group. Every output position, border ring included, then
+//! runs one branchless program: a padding tap reads a zero and adds
+//! exactly 0.
 //! Full blocks of [`LANES`] images run it on the batch-major SIMD lanes
 //! ([`simd`]) over the whole output map; remnant images run it per
 //! image. Op accounting is hoisted out of the loops entirely (a one-time

@@ -25,9 +25,25 @@ fn slab_scale(slab: &[f32], qmax: f32) -> f32 {
 
 /// The code of `v` on the grid `scale`, clamped to `±qmax`. Callers
 /// never pass a NaN scale: a refused slab keeps all-zero codes.
+///
+/// Bit-identical to `(v / scale).round().clamp(-qmax, qmax) as i32`
+/// without the libm call: `qmax` is an integer, so clamping before
+/// rounding gives the same code, and on the clamped range `x − trunc(x)`
+/// is exact, so comparing that fraction with ±0.5 rounds half away from
+/// zero exactly as `round` does. A NaN quotient clamps to NaN, truncates
+/// to 0 and fails both comparisons, as `round` → `as i32` gives 0.
+#[inline(always)]
 fn code(v: f32, scale: f32, qmax: f32) -> i32 {
-    (v / scale).round().clamp(-qmax, qmax) as i32
+    let x = (v / scale).clamp(-qmax, qmax);
+    let t = x as i32;
+    let frac = x - t as f32;
+    t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)
 }
+
+/// Entries of the per-image code map
+/// [`QuantActivations::regrid_padded_into`] builds: every code of an
+/// 8-bit grid, `-127..=127`.
+const MAP_LEN: usize = 255;
 
 /// The largest code magnitude of a `bits`-bit signed grid.
 fn qmax(bits: u32) -> f32 {
@@ -139,9 +155,24 @@ impl QuantActivations {
         codes: &mut Vec<i32>,
         scales: &mut Vec<f32>,
     ) {
-        let qmax = qmax(bits);
         assert!(!x.dims().is_empty(), "batch tensor needs a leading dim");
-        let n = x.dims()[0];
+        Self::quantize_images_into(x.as_slice(), x.dims()[0], bits, codes, scales);
+    }
+
+    /// [`quantize_per_image_into`](Self::quantize_per_image_into) over
+    /// `n` images stored back to back in `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits < 2`.
+    pub(crate) fn quantize_images_into(
+        x: &[f32],
+        n: usize,
+        bits: u32,
+        codes: &mut Vec<i32>,
+        scales: &mut Vec<f32>,
+    ) {
+        let qmax = qmax(bits);
         let stride = x.len().checked_div(n).unwrap_or(0);
         codes.clear();
         codes.resize(x.len(), 0);
@@ -151,8 +182,7 @@ impl QuantActivations {
             return;
         }
         scales.extend(
-            x.as_slice()
-                .chunks_exact(stride)
+            x.chunks_exact(stride)
                 .zip(codes.chunks_exact_mut(stride))
                 .map(|(slab, dst)| quantize_slab(slab, qmax, dst)),
         );
@@ -177,13 +207,31 @@ impl QuantActivations {
         codes: &mut Vec<i32>,
         scales: &mut Vec<f32>,
     ) {
-        if padding == 0 {
-            return Self::quantize_per_image_into(x, bits, codes, scales);
-        }
-        let qmax = qmax(bits);
         let d = x.dims();
         assert_eq!(d.len(), 4, "padded quantization needs [n, c, h, w]");
-        let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
+        let dims = [d[0], d[1], d[2], d[3]];
+        Self::quantize_padded_slice_into(x.as_slice(), dims, bits, padding, codes, scales);
+    }
+
+    /// [`quantize_padded_into`](Self::quantize_padded_into) over a
+    /// `[n, c, h, w]` batch stored in `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits < 2` or `x` is not `n · c · h · w` long.
+    pub(crate) fn quantize_padded_slice_into(
+        x: &[f32],
+        [n, c, h, w]: [usize; 4],
+        bits: u32,
+        padding: usize,
+        codes: &mut Vec<i32>,
+        scales: &mut Vec<f32>,
+    ) {
+        assert_eq!(x.len(), n * c * h * w, "activations length mismatch");
+        if padding == 0 {
+            return Self::quantize_images_into(x, n, bits, codes, scales);
+        }
+        let qmax = qmax(bits);
         let plane = c * (h + 2 * padding) * (w + 2 * padding);
         codes.clear();
         codes.resize(n * plane, 0);
@@ -192,7 +240,7 @@ impl QuantActivations {
             scales.resize(n, 1.0);
             return;
         }
-        for (b, slab) in x.as_slice().chunks_exact(c * h * w).enumerate() {
+        for (b, slab) in x.chunks_exact(c * h * w).enumerate() {
             let scale = slab_scale(slab, qmax);
             scales.push(scale);
             if scale.is_nan() {
@@ -205,6 +253,89 @@ impl QuantActivations {
             {
                 for (slot, &v) in img[dst..dst + w].iter_mut().zip(row) {
                     *slot = code(v, scale, qmax);
+                }
+            }
+        }
+    }
+
+    /// Re-grids `n` images of codes — image `b` is `src[b·len ..]` on
+    /// scale `src_scales[b]`, `len = c · h · w` — into the codes and scales
+    /// that [`quantize_padded_into`](Self::quantize_padded_into) would
+    /// produce from their dequantized values `c as f32 · s`, without
+    /// materializing those floats: the engine's hand-off from one stage's
+    /// requantized output to the next integer conv.
+    ///
+    /// Quantizing a dequantized slab depends on it only through its
+    /// largest magnitude, which is `|c|max · s` (rounding is monotone and
+    /// sign-symmetric), so each image's new scale is replayed exactly as
+    /// `slab_scale([cmax · s])`. When that replays `s` bit for bit the
+    /// codes are copied as they are; otherwise a per-image map over every
+    /// 8-bit code, built with the very expression the float path
+    /// evaluates, translates them (a refused replay zeroes them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits < 2` or `src` is not `src_scales.len() · c · h · w`
+    /// long.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn regrid_padded_into(
+        src: &[i32],
+        src_scales: &[f32],
+        [c, h, w]: [usize; 3],
+        bits: u32,
+        padding: usize,
+        codes: &mut Vec<i32>,
+        scales: &mut Vec<f32>,
+    ) {
+        let qmax = qmax(bits);
+        let n = src_scales.len();
+        let len = c * h * w;
+        assert_eq!(src.len(), n * len, "codes length mismatch");
+        let plane = c * (h + 2 * padding) * (w + 2 * padding);
+        codes.clear();
+        codes.resize(n * plane, 0);
+        scales.clear();
+        if len == 0 {
+            scales.resize(n, 1.0);
+            return;
+        }
+        let mut map = [0i32; MAP_LEN];
+        for ((slab, &s), img) in src
+            .chunks_exact(len)
+            .zip(src_scales)
+            .zip(codes.chunks_exact_mut(plane))
+        {
+            let cmax = slab.iter().fold(0u32, |m, c| m.max(c.unsigned_abs()));
+            let scale = slab_scale(&[cmax as f32 * s], qmax);
+            scales.push(scale);
+            if scale.is_nan() {
+                continue;
+            }
+            let copy = scale.to_bits() == s.to_bits();
+            let mapped = !copy && (cmax as usize) <= MAP_LEN / 2;
+            if mapped {
+                for (k, slot) in map.iter_mut().enumerate() {
+                    let c = k as i32 - (MAP_LEN / 2) as i32;
+                    *slot = code(c as f32 * s, scale, qmax);
+                }
+            }
+            // Unpadded images are one row.
+            let (rows, row_h, row_w) = if padding == 0 { (1, 1, len) } else { (c, h, w) };
+            for (row, dst) in slab
+                .chunks_exact(row_w)
+                .zip(crate::lower::padded_rows(rows, row_h, row_w, padding))
+            {
+                let dst = &mut img[dst..dst + row_w];
+                if copy {
+                    dst.copy_from_slice(row);
+                } else if mapped {
+                    for (slot, &v) in dst.iter_mut().zip(row) {
+                        *slot = map[(v + (MAP_LEN / 2) as i32) as usize];
+                    }
+                } else {
+                    for (slot, &v) in dst.iter_mut().zip(row) {
+                        *slot = code(v as f32 * s, scale, qmax);
+                    }
                 }
             }
         }
@@ -349,6 +480,129 @@ mod tests {
         // At 2 bits the rail is ±1, so most nonzero codes sit on it.
         let q2 = QuantActivations::quantize(&x, 2);
         assert_eq!(QuantActivations::saturation_count(q2.codes(), 2), 3);
+    }
+
+    /// The libm expression `code` replaces.
+    fn std_code(v: f32, scale: f32, qmax: f32) -> i32 {
+        (v / scale).round().clamp(-qmax, qmax) as i32
+    }
+
+    #[test]
+    fn code_rounds_every_half_and_its_neighbours_like_std() {
+        let up = |v: f32| f32::from_bits(v.to_bits().wrapping_add(1));
+        let down = |v: f32| f32::from_bits(v.to_bits().wrapping_sub(1));
+        for qmax in [1.0f32, 7.0, 127.0, 32767.0] {
+            let q = qmax as i32;
+            for k in -q - 1..=q + 1 {
+                for h in [-0.5f32, 0.0, 0.5] {
+                    let v = k as f32 + h;
+                    // `from_bits(±1)` steps away from or toward zero by
+                    // sign; both directions are covered either way.
+                    for probe in [down(v), v, up(v)] {
+                        assert_eq!(
+                            code(probe, 1.0, qmax),
+                            std_code(probe, 1.0, qmax),
+                            "v {probe:e} qmax {qmax}"
+                        );
+                    }
+                }
+            }
+        }
+        for v in [0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            assert_eq!(code(v, 1.0, 127.0), std_code(v, 1.0, 127.0), "v {v}");
+        }
+        assert_eq!(code(1.0, 0.0, 127.0), 127, "a zero scale saturates");
+        assert_eq!(code(0.0, 0.0, 127.0), 0, "0/0 is NaN and codes to 0");
+    }
+
+    #[test]
+    fn code_matches_std_over_a_strided_sweep_of_f32_bit_patterns() {
+        for scale in [1.0f32, 0.37, 1.5e-3, 2.6e38, 1e-40] {
+            for qmax in [127.0f32, 7.0] {
+                for bits in (0..=u32::MAX).step_by(65_537) {
+                    let v = f32::from_bits(bits);
+                    assert_eq!(
+                        code(v, scale, qmax),
+                        std_code(v, scale, qmax),
+                        "v {v:e} ({bits:#x}) scale {scale:e} qmax {qmax}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `codes · scale` per image as the float batch a requant stage
+    /// used to hand on.
+    fn dequantized(codes: &[i32], scales: &[f32], dims: &[usize]) -> Tensor {
+        let per = codes.len() / scales.len();
+        let data = codes
+            .chunks_exact(per)
+            .zip(scales)
+            .flat_map(|(img, &s)| img.iter().map(move |&c| c as f32 * s))
+            .collect();
+        Tensor::from_vec(data, dims)
+    }
+
+    #[test]
+    fn regrid_equals_quantizing_the_dequantized_codes() {
+        let mut rng = TensorRng::seed(31);
+        let (c, h, w) = (3, 4, 5);
+        let len = c * h * w;
+        // Scales as a quantizer produces them, plus the edge cases: a
+        // refused image (NaN), an all-zero one (1.0), a zero scale, a
+        // subnormal one, and one whose rail overflows to inf.
+        let mut scales: Vec<f32> = uniform(&mut rng, &[48], 1e-3, 40.0)
+            .as_slice()
+            .iter()
+            .map(|&m| slab_scale(&[m], 127.0))
+            .collect();
+        scales.extend([f32::NAN, 1.0, 0.0, 1e-42, f32::MAX / 127.0]);
+        let n = scales.len();
+        let mut codes = vec![0i32; n * len];
+        let noise = uniform(&mut rng, &[n * len], -127.49, 127.49);
+        for (b, img) in codes.chunks_exact_mut(len).enumerate() {
+            let refused_or_zero = scales[b].is_nan() || b == 49;
+            if !refused_or_zero {
+                for (slot, &v) in img.iter_mut().zip(&noise.as_slice()[b * len..]) {
+                    *slot = v.round() as i32;
+                }
+                // Alternate images reach the rail, as requantized
+                // activations do.
+                if b % 2 == 0 {
+                    img[b % len] = if b % 4 == 0 { 127 } else { -127 };
+                }
+            }
+        }
+        let x = dequantized(&codes, &scales, &[n, c, h, w]);
+        let (mut copied, mut mapped) = (0, 0);
+        for padding in [0usize, 1, 2] {
+            let (mut want, mut want_scales) = (Vec::new(), Vec::new());
+            QuantActivations::quantize_padded_into(&x, 8, padding, &mut want, &mut want_scales);
+            let (mut got, mut got_scales) = (vec![9; 2], vec![3.0]);
+            QuantActivations::regrid_padded_into(
+                &codes,
+                &scales,
+                [c, h, w],
+                8,
+                padding,
+                &mut got,
+                &mut got_scales,
+            );
+            let bits = |v: &[f32]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got_scales), bits(&want_scales), "padding {padding}");
+            assert_eq!(got, want, "padding {padding}");
+            for (s, t) in scales.iter().zip(&got_scales) {
+                if s.to_bits() == t.to_bits() {
+                    copied += 1;
+                } else {
+                    mapped += 1;
+                }
+            }
+        }
+        assert!(
+            copied > 0 && mapped > 0,
+            "both hand-offs ran: {copied}/{mapped}"
+        );
     }
 
     #[test]

@@ -13,21 +13,32 @@
 //! and sign packed into a single `u32` per tap. On first contact with a
 //! concrete [`Conv2dGeometry`] the kernel lowers that table into a
 //! per-geometry program (cached, shared across clones and worker
-//! threads) of 8 bytes per tap: a flat offset into the **zero-padded
-//! input plane** `[c, h + 2p, w + 2p]` plus the packed code.
+//! threads): one sort per filter by `(shift, sign)` turns its taps into
+//! **groups**, one per shift amount, each a run of `u32` offsets into
+//! the **zero-padded input plane** `[c, h + 2p, w + 2p]` — the adding
+//! taps, then the subtracting ones — described by a
+//! `[shift, start, pos_end, neg_end]` entry of the filter's group table.
+//! A filter is a sum of `k` signed powers of two per weight, so a layer
+//! has far fewer distinct shifts than taps: a position costs one load
+//! and one add per tap and one subtract, shift and add per group,
+//! instead of a shift and a sign fold per tap.
 //!
-//! * Inputs are padded once, at quantization time (see the `lower`
-//!   module), so every output position — border ring included — runs
-//!   one branchless load → shift → sign-fold → accumulate loop with no
-//!   bounds checks and no index arithmetic. A tap on the ring reads a
-//!   zero and adds exactly 0.
+//! * Inputs are padded once, when each conv stage fills its planes
+//!   (see the `lower` module), so every output position — border ring
+//!   included — runs one branchless program with no bounds checks and
+//!   no index arithmetic. A tap on the ring reads a zero and adds
+//!   exactly 0.
 //! * Full blocks of [`LANES`] images run that program on the SIMD lanes
-//!   over the whole output map; remnant images run it per image.
+//!   over the whole output map; remnant images run it per image. The
+//!   grouped sum is exact on every path (see the `simd` module's
+//!   exactness section).
 //! * Op accounting is hoisted out of the loops entirely: a one-time
 //!   per-geometry count of the taps that land on real input (see
 //!   [`OpCounts`]) keeps the totals bit-identical to the interpreted
 //!   reference ([`shift_add_conv_reference`]), which is retained as the
-//!   parity oracle and the lowering bench baseline.
+//!   parity oracle and the lowering bench baseline. The counts follow
+//!   the paper's `k` shifts / `k − 1` adds cost model per weight, not
+//!   the grouped instruction mix.
 
 use std::sync::{Arc, Mutex};
 
@@ -43,9 +54,9 @@ use crate::simd::{
 };
 
 /// Packed tap code layout: shift amount in the low 6 bits, sign in the
-/// top bit (`1` = subtract). Shared with the lane kernels in `simd.rs`.
-pub(crate) const SHIFT_MASK: u32 = 0x3f;
-pub(crate) const SIGN_BIT: u32 = 1 << 31;
+/// top bit (`1` = subtract).
+const SHIFT_MASK: u32 = 0x3f;
+const SIGN_BIT: u32 = 1 << 31;
 
 /// One compiled tap: flat kernel-space offset plus the packed shift/sign
 /// code.
@@ -373,26 +384,46 @@ impl ShiftKernel {
     }
 }
 
+/// One group of a filter's lowered taps: every tap sharing one shift
+/// amount, the adding taps first. The group contributes
+/// `(Σ adds − Σ subtracts) << shift`: its codes are summed with plain
+/// adds and shifted once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TapGroup {
+    /// The shared shift amount.
+    pub shift: u32,
+    /// `offsets[start..pos_end]` are the group's adding taps.
+    pub start: u32,
+    /// `offsets[pos_end..neg_end]` are the group's subtracting taps.
+    pub pos_end: u32,
+    /// One past the group's last tap.
+    pub neg_end: u32,
+}
+
 /// A [`ShiftKernel`] lowered against one concrete [`Conv2dGeometry`]:
-/// per-tap offsets into the zero-padded plane, the packed codes, and the
-/// op totals hoisted out of the runtime loops.
+/// per-tap offsets into the zero-padded plane grouped by shift amount,
+/// the per-filter group tables, and the op totals hoisted out of the
+/// runtime loops.
 #[derive(Debug)]
 struct LoweredShift {
     plane: PaddedPlane,
     sweep: Sweep,
     /// Per tap: flat offset into the padded plane relative to the output
-    /// position's window origin; indexed by the kernel's `bounds`.
+    /// position's window origin, ordered by filter, then shift amount,
+    /// then sign (adds first), then offset.
     offsets: Vec<u32>,
-    /// Per tap: packed shift/sign code (parallel to `offsets`).
-    codes: Vec<u32>,
+    /// Every filter's tap groups, in filter order, by ascending shift.
+    groups: Vec<TapGroup>,
+    /// Filter `f`'s groups are `groups[group_bounds[f]..group_bounds[f+1]]`.
+    group_bounds: Vec<u32>,
     /// Shift ops one image costs (taps on real input only).
     shifts_per_image: u64,
     /// Integer adds one image costs under the `k` shifts / `k−1` adds
     /// convention (see [`OpCounts`]).
     adds_per_image: u64,
-    /// Largest packed shift amount across all taps — the lane path
-    /// requires it ≤ [`MAX_LANE_SHIFT`] so `a << s` stays defined (and
-    /// bounded) in i32.
+    /// Largest shift amount across all groups — the lane path requires
+    /// it ≤ [`MAX_LANE_SHIFT`] so `a << s` stays defined (and bounded)
+    /// in i32.
     max_shift: u32,
     /// Worst-case per-filter magnitude multiplier `max_f Σ_taps 2^s`:
     /// an accumulator is bounded by `max |code| · lane_weight`, which
@@ -414,23 +445,20 @@ impl LoweredShift {
             let off = tap.offset as usize;
             (off / (k * k), (off / k) % k, off % k)
         };
-        let offsets = kernel
-            .taps
-            .iter()
-            .map(|tap| {
-                let (ch, ki, kj) = decode(tap);
-                plane.tap_offset(ch, ki, kj)
-            })
-            .collect();
-        let codes: Vec<u32> = kernel.taps.iter().map(|tap| tap.code).collect();
 
+        let f = kernel.filters();
+        let mut offsets = Vec::with_capacity(kernel.taps.len());
+        let mut groups = Vec::new();
+        let mut group_bounds = Vec::with_capacity(f + 1);
+        group_bounds.push(0u32);
         // A filter with `t` taps on real input at a position costs `t`
         // shifts and `t − 1` adds there; summed over positions that is
         // `executed` shifts and `executed − active` adds.
-        let mut shifts = 0u64;
-        let mut adds = 0u64;
+        let (mut shifts, mut adds) = (0u64, 0u64);
+        let (mut max_shift, mut lane_weight) = (0u32, 0u64);
         let mut window = Vec::new();
-        for fi in 0..kernel.filters() {
+        let mut keyed = Vec::new();
+        for fi in 0..f {
             let taps = &kernel.taps[kernel.bounds[fi] as usize..kernel.bounds[fi + 1] as usize];
             window.clear();
             window.extend(taps.iter().map(|tap| {
@@ -440,33 +468,58 @@ impl LoweredShift {
             let (executed, active) = executed_taps(geom, &window);
             shifts += executed;
             adds += executed - active;
-        }
 
-        // Lane-eligibility bounds (see the field docs): worst-case shift
-        // and per-filter magnitude multiplier, both over the packed codes.
-        let mut max_shift = 0u32;
-        let mut lane_weight = 0u64;
-        for fi in 0..kernel.filters() {
+            // One sort by (shift, sign, offset), then one scan cutting
+            // the sorted taps into groups.
+            keyed.clear();
+            keyed.extend(taps.iter().map(|tap| {
+                let (ch, ki, kj) = decode(tap);
+                (
+                    tap.code & SHIFT_MASK,
+                    tap.code & SIGN_BIT,
+                    plane.tap_offset(ch, ki, kj),
+                )
+            }));
+            keyed.sort_unstable();
             let mut filter_weight = 0u64;
-            for cd in &codes[kernel.bounds[fi] as usize..kernel.bounds[fi + 1] as usize] {
-                let s = cd & SHIFT_MASK;
-                max_shift = max_shift.max(s);
-                filter_weight =
-                    filter_weight.saturating_add(1u64.checked_shl(s).unwrap_or(u64::MAX));
+            let mut rest = &keyed[..];
+            while let Some(&(shift, _, _)) = rest.first() {
+                let len = rest.iter().take_while(|t| t.0 == shift).count();
+                let (group, tail) = rest.split_at(len);
+                let start = offsets.len() as u32;
+                offsets.extend(group.iter().map(|t| t.2));
+                let adding = group.iter().take_while(|t| t.1 == 0).count() as u32;
+                groups.push(TapGroup {
+                    shift,
+                    start,
+                    pos_end: start + adding,
+                    neg_end: offsets.len() as u32,
+                });
+                max_shift = max_shift.max(shift);
+                let weight = 1u64.checked_shl(shift).unwrap_or(u64::MAX);
+                filter_weight = filter_weight.saturating_add(weight.saturating_mul(len as u64));
+                rest = tail;
             }
             lane_weight = lane_weight.max(filter_weight);
+            group_bounds.push(groups.len() as u32);
         }
 
         LoweredShift {
             plane,
             sweep: Sweep::of(geom),
             offsets,
-            codes,
+            groups,
+            group_bounds,
             shifts_per_image: shifts,
             adds_per_image: adds,
             max_shift,
             lane_weight,
         }
+    }
+
+    /// Filter `fi`'s tap groups.
+    fn filter_groups(&self, fi: usize) -> &[TapGroup] {
+        &self.groups[self.group_bounds[fi] as usize..self.group_bounds[fi + 1] as usize]
     }
 
     /// The path this call actually runs: the requested lane path only
@@ -525,13 +578,11 @@ impl LoweredShift {
                 *slot = scales[b0 + l] * kernel.base_scale;
             }
             for fi in 0..f {
-                let lo = kernel.bounds[fi] as usize;
-                let hi = kernel.bounds[fi + 1] as usize;
                 run_shift_block(
                     path,
                     &lanes.block,
-                    &self.offsets[lo..hi],
-                    &self.codes[lo..hi],
+                    &self.offsets,
+                    self.filter_groups(fi),
                     &self.sweep,
                     out,
                     (b0 * f + fi) * positions,
@@ -548,21 +599,13 @@ impl LoweredShift {
             let out_scale = scales[b] * kernel.base_scale;
             let img = &planes[b * plane..(b + 1) * plane];
             for fi in 0..f {
-                let lo = kernel.bounds[fi] as usize;
-                let hi = kernel.bounds[fi + 1] as usize;
-                let offs = &self.offsets[lo..hi];
-                let tap_codes = &self.codes[lo..hi];
+                let groups = self.filter_groups(fi);
                 let out_plane = &mut out[(b * f + fi) * positions..(b * f + fi + 1) * positions];
                 let mut slot = out_plane.iter_mut();
                 for oi in 0..self.sweep.out_h {
                     for oj in 0..self.sweep.out_w {
-                        let base = self.sweep.origin(oi, oj);
-                        let mut acc: i64 = 0;
-                        for (&o, &cd) in offs.iter().zip(tap_codes) {
-                            let term = (img[base + o as usize] as i64) << (cd & SHIFT_MASK);
-                            let mask = ((cd as i32) >> 31) as i64;
-                            acc += (term ^ mask) - mask;
-                        }
+                        let window = &img[self.sweep.origin(oi, oj)..];
+                        let acc = grouped_scalar(window, &self.offsets, groups);
                         *slot.next().expect("one slot per position") = acc as f32 * out_scale;
                     }
                 }
@@ -570,6 +613,18 @@ impl LoweredShift {
         }
         lanes.note_engaged(lane_images, n - lane_images);
     }
+}
+
+/// The grouped shift sum of one window of one image, accumulated in
+/// `i64`: per group, the adding taps are added, the subtracting taps
+/// subtracted, and the group sum is shifted once into the accumulator.
+fn grouped_scalar(window: &[i32], offs: &[u32], groups: &[TapGroup]) -> i64 {
+    let sum = |taps: &[u32]| -> i64 { taps.iter().map(|&o| window[o as usize] as i64).sum() };
+    groups.iter().fold(0i64, |acc, g| {
+        let adds = sum(&offs[g.start as usize..g.pos_end as usize]);
+        let subs = sum(&offs[g.pos_end as usize..g.neg_end as usize]);
+        acc.wrapping_add((adds - subs).wrapping_shl(g.shift))
+    })
 }
 
 /// Validates the shared layout contract of the conv cores: `plane`
@@ -1043,6 +1098,30 @@ mod tests {
         let (oracle, oracle_counts) = shift_add_conv_reference(&qa, &kernel, 1, 0);
         assert_eq!(fast.as_slice(), oracle.as_slice());
         assert_eq!(counts, oracle_counts);
+    }
+
+    #[test]
+    fn lowering_groups_taps_by_shift_with_adds_first() {
+        // Exponents -1, 0, 1, -1 → shifts 0, 1, 2, 0 (min exponent -1).
+        let plan = tiny_plan(vec![0.5, -1.0, 2.0, -0.5]);
+        let kernel = ShiftKernel::compile(&plan, &[1, 1, 2, 2]);
+        let geom = Conv2dGeometry::new(1, 3, 3, 2, 1, 0);
+        let lowered = kernel.lowered(&geom);
+        // Padded row width 3: taps (0,0) (0,1) (1,0) (1,1) → 0, 1, 3, 4.
+        assert_eq!(lowered.offsets, vec![0, 4, 1, 3]);
+        let group = |shift, start, pos_end, neg_end| TapGroup {
+            shift,
+            start,
+            pos_end,
+            neg_end,
+        };
+        assert_eq!(
+            lowered.groups,
+            vec![group(0, 0, 1, 2), group(1, 2, 2, 3), group(2, 3, 4, 4)]
+        );
+        assert_eq!(lowered.group_bounds, vec![0, 3]);
+        assert_eq!(lowered.max_shift, 2);
+        assert_eq!(lowered.lane_weight, 1 + 2 + 4 + 1);
     }
 
     #[test]

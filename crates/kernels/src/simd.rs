@@ -1,8 +1,9 @@
 //! Batch-major SIMD lanes for the lowered tap programs.
 //!
 //! The lowered loops of both integer datapaths (`shift.rs`, `fixed.rs`)
-//! are branchless but scalar: one shift/sign/add (or one multiply/add)
-//! per tap per output position per image. This module vectorizes them
+//! are branchless but scalar: one load/add per shift tap plus one shift
+//! per tap group (or one multiply/add per fixed-point tap) per output
+//! position per image. This module vectorizes them
 //! **batch-major**: a lane holds the *same spatial position across
 //! [`LANES`] images*, so the tap program — offsets, shift amounts,
 //! signs, weights — is identical for every element of the lane and
@@ -58,6 +59,17 @@
 //! 8-bit activations with realistic tap programs pass by orders of
 //! magnitude; adversarial inputs silently fall back to the scalar path
 //! instead of wrapping.
+//!
+//! The shift lanes compute a **grouped** sum: a filter's taps are
+//! grouped by shift amount, each group's codes are summed with plain
+//! adds (adding taps and subtracting taps apart), and the difference is
+//! shifted once — `Σ_s (Σ⁺a − Σ⁻a) << s` instead of `Σ ±(a << s)`. The
+//! lanes run that in wrapping i32 arithmetic. Wrapping i32 is the ring
+//! ℤ/2³², where `<< s` is multiplication by `2^s` and distributes over
+//! the sums, so the grouped result is congruent to the per-tap sum mod
+//! 2³². That sum is the true value and, by the bound above, fits i32,
+//! so the grouped lane result equals it exactly, even if a partial
+//! group sum wrapped on the way.
 
 use std::sync::OnceLock;
 
@@ -278,11 +290,12 @@ pub(crate) fn pack_lane_block(codes: &[i32], plane: usize, block: &mut Vec<i32>)
     }
 }
 
-use crate::shift::SHIFT_MASK;
+use crate::shift::TapGroup;
 
-/// Runs one filter's shift taps over the whole output map of one lane
-/// block, dispatching on `path` ([`KernelPath::Scalar`] is the caller's
-/// responsibility and never reaches here).
+/// Runs one filter's grouped shift taps over the whole output map of one
+/// lane block, dispatching on `path` ([`KernelPath::Scalar`] is the
+/// caller's responsibility and never reaches here). `groups` index into
+/// `offs` (see `TapGroup`).
 ///
 /// `filter_base` is the flat output index of `(b0, fi, 0, 0)` and
 /// `img_stride` the per-image output stride `f · oh · ow`, so lane `l`
@@ -293,7 +306,7 @@ pub(crate) fn run_shift_block(
     path: KernelPath,
     block: &[i32],
     offs: &[u32],
-    codes: &[u32],
+    groups: &[TapGroup],
     g: &Sweep,
     out: &mut [f32],
     filter_base: usize,
@@ -308,7 +321,7 @@ pub(crate) fn run_shift_block(
             avx2::shift_block(
                 block,
                 offs,
-                codes,
+                groups,
                 g,
                 out,
                 filter_base,
@@ -319,7 +332,7 @@ pub(crate) fn run_shift_block(
         _ => shift_block_portable(
             block,
             offs,
-            codes,
+            groups,
             g,
             out,
             filter_base,
@@ -374,14 +387,78 @@ pub(crate) fn run_fixed_block(
     }
 }
 
-/// The portable lane implementation of the shift sweep: identical loop
-/// structure to the AVX2 version, over `[i32; LANES]` arrays the
-/// compiler is free to auto-vectorize.
+/// Output positions one pass of the grouped shift sweep covers: each
+/// tap offset is read once for `POSITIONS` neighbouring windows, which
+/// amortizes the per-group work and gives the adds independent chains.
+const POSITIONS: usize = 4;
+
+/// Calls `run(oj, P)` over one output row in blocks of [`POSITIONS`]
+/// positions, then singles for the remainder.
+#[inline(always)]
+fn for_position_blocks(out_w: usize, mut run: impl FnMut(usize, usize)) {
+    let full = out_w - out_w % POSITIONS;
+    for oj in (0..full).step_by(POSITIONS) {
+        run(oj, POSITIONS);
+    }
+    for oj in full..out_w {
+        run(oj, 1);
+    }
+}
+
+/// The grouped shift sums of `P` neighbouring windows of one lane block
+/// — window `p` starts at lane vector `base + p · step` — in wrapping
+/// i32 lanes: per group, the adding taps are added, the subtracting taps
+/// subtracted, and the group sum is shifted once into the accumulator.
+#[inline(always)]
+fn grouped_lanes<const P: usize>(
+    block: &[i32],
+    base: usize,
+    step: usize,
+    offs: &[u32],
+    groups: &[TapGroup],
+) -> [[i32; LANES]; P] {
+    let lanes_at = |q: usize| -> &[i32; LANES] {
+        block[q * LANES..(q + 1) * LANES]
+            .try_into()
+            .expect("lane width")
+    };
+    let mut acc = [[0i32; LANES]; P];
+    for grp in groups {
+        let mut sum = [[0i32; LANES]; P];
+        for &o in &offs[grp.start as usize..grp.pos_end as usize] {
+            for (p, sum) in sum.iter_mut().enumerate() {
+                let v = lanes_at(base + p * step + o as usize);
+                for l in 0..LANES {
+                    sum[l] = sum[l].wrapping_add(v[l]);
+                }
+            }
+        }
+        for &o in &offs[grp.pos_end as usize..grp.neg_end as usize] {
+            for (p, sum) in sum.iter_mut().enumerate() {
+                let v = lanes_at(base + p * step + o as usize);
+                for l in 0..LANES {
+                    sum[l] = sum[l].wrapping_sub(v[l]);
+                }
+            }
+        }
+        for (acc, sum) in acc.iter_mut().zip(&sum) {
+            for l in 0..LANES {
+                acc[l] = acc[l].wrapping_add(sum[l].wrapping_shl(grp.shift));
+            }
+        }
+    }
+    acc
+}
+
+/// The portable lane implementation of the grouped shift sweep:
+/// identical loop structure to the AVX2 version, over `[i32; LANES]`
+/// arrays the compiler is free to auto-vectorize. Arithmetic wraps like
+/// the AVX2 lanes; the no-wrap bound makes the final sum exact.
 #[allow(clippy::too_many_arguments)]
 fn shift_block_portable(
     block: &[i32],
     offs: &[u32],
-    codes: &[u32],
+    groups: &[TapGroup],
     g: &Sweep,
     out: &mut [f32],
     filter_base: usize,
@@ -390,23 +467,23 @@ fn shift_block_portable(
 ) {
     for oi in 0..g.out_h {
         let out_row = filter_base + oi * g.out_w;
-        for oj in 0..g.out_w {
+        for_position_blocks(g.out_w, |oj, p| {
             let base = g.origin(oi, oj);
-            let mut acc = [0i32; LANES];
-            for (&o, &cd) in offs.iter().zip(codes) {
-                let p = (base + o as usize) * LANES;
-                let s = cd & SHIFT_MASK;
-                let m = (cd as i32) >> 31;
-                let lanes: &[i32; LANES] = block[p..p + LANES].try_into().expect("lane width");
-                for l in 0..LANES {
-                    let term = lanes[l] << s;
-                    acc[l] += (term ^ m) - m;
+            let mut store = |q: usize, acc: &[i32; LANES]| {
+                for (l, &scale) in out_scales.iter().enumerate() {
+                    out[out_row + oj + q + l * img_stride] = acc[l] as f32 * scale;
                 }
+            };
+            if p == POSITIONS {
+                let acc = grouped_lanes::<POSITIONS>(block, base, g.stride, offs, groups);
+                acc.iter().enumerate().for_each(|(q, a)| store(q, a));
+            } else {
+                store(
+                    0,
+                    &grouped_lanes::<1>(block, base, g.stride, offs, groups)[0],
+                );
             }
-            for (l, &scale) in out_scales.iter().enumerate() {
-                out[out_row + oj + l * img_stride] = acc[l] as f32 * scale;
-            }
-        }
+        });
     }
 }
 
@@ -451,9 +528,52 @@ mod avx2 {
 
     use super::LANES;
     use crate::lower::Sweep;
-    use crate::shift::SHIFT_MASK;
+    use crate::shift::TapGroup;
 
-    /// One filter's shift taps over the whole output map, i32×8.
+    /// The grouped shift sums of `P` neighbouring windows — window `p`
+    /// starts at `src + p · step · LANES` — as i32×8 vectors: per group,
+    /// plain vector adds of the adding taps and subtracts of the
+    /// subtracting ones, then one shift into the accumulator.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support, and every tap of every
+    /// window must read a full lane vector inside the block.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn grouped<const P: usize>(
+        src: *const i32,
+        step: usize,
+        offs: &[u32],
+        groups: &[TapGroup],
+    ) -> [__m256i; P] {
+        let mut acc = [_mm256_setzero_si256(); P];
+        for grp in groups {
+            let mut sum = [_mm256_setzero_si256(); P];
+            for &o in &offs[grp.start as usize..grp.pos_end as usize] {
+                let q = src.add(o as usize * LANES);
+                for (p, sum) in sum.iter_mut().enumerate() {
+                    let v = _mm256_loadu_si256(q.add(p * step * LANES) as *const __m256i);
+                    *sum = _mm256_add_epi32(*sum, v);
+                }
+            }
+            for &o in &offs[grp.pos_end as usize..grp.neg_end as usize] {
+                let q = src.add(o as usize * LANES);
+                for (p, sum) in sum.iter_mut().enumerate() {
+                    let v = _mm256_loadu_si256(q.add(p * step * LANES) as *const __m256i);
+                    *sum = _mm256_sub_epi32(*sum, v);
+                }
+            }
+            let count = _mm_cvtsi32_si128(grp.shift as i32);
+            for (acc, sum) in acc.iter_mut().zip(&sum) {
+                *acc = _mm256_add_epi32(*acc, _mm256_sll_epi32(*sum, count));
+            }
+        }
+        acc
+    }
+
+    /// One filter's grouped shift taps over the whole output map,
+    /// i32×8, [`POSITIONS`](super::POSITIONS) windows per pass.
     ///
     /// # Safety
     ///
@@ -463,38 +583,53 @@ mod avx2 {
     pub(crate) unsafe fn shift_block(
         block: &[i32],
         offs: &[u32],
-        codes: &[u32],
+        groups: &[TapGroup],
         g: &Sweep,
         out: &mut [f32],
         filter_base: usize,
         img_stride: usize,
         out_scales: &[f32; LANES],
     ) {
-        let src = block.as_ptr();
+        // The raw loads below stay inside `block` iff the last window's
+        // furthest tap does; origins grow with (oi, oj), so one check
+        // covers every window.
+        if g.out_h == 0 || g.out_w == 0 {
+            return;
+        }
+        let last = g.origin(g.out_h - 1, g.out_w - 1);
+        let reach = groups
+            .iter()
+            .flat_map(|grp| &offs[grp.start as usize..grp.neg_end as usize])
+            .max()
+            .map_or(0, |&o| (last + o as usize + 1) * LANES);
+        assert!(
+            reach <= block.len(),
+            "tap program reads past the lane block"
+        );
+        let scales = _mm256_loadu_ps(out_scales.as_ptr());
         for oi in 0..g.out_h {
             let out_row = filter_base + oi * g.out_w;
-            for oj in 0..g.out_w {
-                let base = g.origin(oi, oj);
-                let mut acc = _mm256_setzero_si256();
-                for (&o, &cd) in offs.iter().zip(codes) {
-                    let p = (base + o as usize) * LANES;
-                    debug_assert!(p + LANES <= block.len());
-                    let v = _mm256_loadu_si256(src.add(p) as *const __m256i);
-                    // `a << s`, the same shift for every lane.
-                    let count = _mm_cvtsi32_si128((cd & SHIFT_MASK) as i32);
-                    let term = _mm256_sll_epi32(v, count);
-                    // Branchless sign fold: `(term ^ m) - m` with
-                    // `m = 0` (add) or `m = -1` (subtract).
-                    let m = _mm256_set1_epi32((cd as i32) >> 31);
-                    let signed = _mm256_sub_epi32(_mm256_xor_si256(term, m), m);
-                    acc = _mm256_add_epi32(acc, signed);
+            super::for_position_blocks(g.out_w, |oj, p| {
+                // SAFETY: AVX2 is the caller's guarantee; every window at
+                // or before `last` reads within `block` (asserted above).
+                let src = block.as_ptr().add(g.origin(oi, oj) * LANES);
+                let mut store = |q: usize, acc: __m256i| {
+                    // `acc as f32 * scale` per lane: cvtdq2ps rounds to
+                    // nearest even like `as f32`.
+                    let mut lanes = [0f32; LANES];
+                    let scaled = _mm256_mul_ps(_mm256_cvtepi32_ps(acc), scales);
+                    _mm256_storeu_ps(lanes.as_mut_ptr(), scaled);
+                    for (l, &v) in lanes.iter().enumerate() {
+                        out[out_row + oj + q + l * img_stride] = v;
+                    }
+                };
+                if p == super::POSITIONS {
+                    let acc = grouped::<{ super::POSITIONS }>(src, g.stride, offs, groups);
+                    acc.iter().enumerate().for_each(|(q, &a)| store(q, a));
+                } else {
+                    store(0, grouped::<1>(src, g.stride, offs, groups)[0]);
                 }
-                let mut lanes = [0i32; LANES];
-                _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-                for (l, &scale) in out_scales.iter().enumerate() {
-                    out[out_row + oj + l * img_stride] = lanes[l] as f32 * scale;
-                }
-            }
+            });
         }
     }
 
