@@ -110,7 +110,7 @@ fn bench_training_step(c: &mut Criterion) {
 
 fn bench_telemetry_overhead(c: &mut Criterion) {
     use flight_data::{DatasetKind, Fidelity, SyntheticDataset};
-    use flight_kernels::{CompileOptions, IntNetwork};
+    use flight_kernels::{CompiledNet, ExecCtx};
     use flight_telemetry::{AggregatingSink, CollectingSink, Telemetry};
     use flightnn::configs::NetworkConfig;
     use flightnn::FlightTrainer;
@@ -124,8 +124,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     let mut trainer = FlightTrainer::new(&scheme, 1e-3);
     let batches = data.train_batches(16);
     trainer.train_epoch(&mut net, &batches[..1]);
-    let options = CompileOptions::new().fold_batch_norm(true).sequential();
-    let engine = IntNetwork::compile_with(&mut net, options).expect("network 1 folds");
+    let engine = CompiledNet::compile(&mut net, true).expect("network 1 folds");
     let input = data
         .test_batches(8)
         .first()
@@ -138,54 +137,31 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     // enablement branch per call; the traced variant pays for real event
     // construction on every stage).
     let mut group = c.benchmark_group("telemetry_overhead");
-    group.bench_function("forward_null_sink", |b| b.iter(|| engine.forward(&input)));
-    let traced = engine
-        .clone()
-        .with_telemetry(Telemetry::new(Arc::new(CollectingSink::new())));
-    group.bench_function("forward_traced", |b| b.iter(|| traced.forward(&input)));
+    let mut ctx = ExecCtx::new();
+    group.bench_function("forward_null_sink", |b| {
+        b.iter(|| engine.forward(&input, &mut ctx))
+    });
+    let mut traced = ExecCtx::with_telemetry(Telemetry::new(Arc::new(CollectingSink::new())));
+    group.bench_function("forward_traced", |b| {
+        b.iter(|| engine.forward(&input, &mut traced))
+    });
     // Aggregated tracing: same event stream folded by an
     // AggregatingSink, so the inner sink sees O(names) snapshots instead
     // of O(events) — the cost of folding should be comparable to the
     // cost of collecting.
-    let aggregated = engine.with_telemetry(Telemetry::new(Arc::new(AggregatingSink::new(
+    let mut aggregated = ExecCtx::with_telemetry(Telemetry::new(Arc::new(AggregatingSink::new(
         Arc::new(CollectingSink::new()),
         flight_telemetry::agg::DEFAULT_SNAPSHOT_EVERY,
     ))));
     group.bench_function("forward_aggregated", |b| {
-        b.iter(|| aggregated.forward(&input))
+        b.iter(|| engine.forward(&input, &mut aggregated))
     });
-    group.finish();
-}
-
-fn bench_batch_throughput(c: &mut Criterion) {
-    use flight_data::{DatasetKind, Fidelity, SyntheticDataset};
-    use flight_kernels::{CompileOptions, ExecutionPolicy, IntNetwork};
-    use flightnn::configs::NetworkConfig;
-    use flightnn::FlightTrainer;
-
-    let data = SyntheticDataset::preset(DatasetKind::Cifar10Like, Fidelity::Smoke, 5);
-    let scheme = QuantScheme::l1();
-    let mut rng = TensorRng::seed(5);
-    let mut net =
-        NetworkConfig::by_id(1).build(&scheme, &mut rng, data.classes(), data.image_dims(), 0.25);
-    let mut trainer = FlightTrainer::new(&scheme, 1e-3);
-    let batches = data.train_batches(32);
-    trainer.train_epoch(&mut net, &batches[..1]);
-    let options = CompileOptions::new().fold_batch_norm(true);
-    let engine = IntNetwork::compile_with(&mut net, options).expect("network 1 folds");
-    let input = batches.first().expect("train data").input.clone();
-
-    let mut group = c.benchmark_group("batch_throughput");
-    let seq = engine.clone().with_policy(ExecutionPolicy::Sequential);
-    group.bench_function("batch32_sequential", |b| b.iter(|| seq.forward(&input)));
-    let par = engine.with_policy(ExecutionPolicy::Parallel { threads: 0 });
-    group.bench_function("batch32_parallel", |b| b.iter(|| par.forward(&input)));
     group.finish();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_conv_kernels, bench_kernel_lowering, bench_quantizers, bench_training_step, bench_telemetry_overhead, bench_batch_throughput
+    targets = bench_conv_kernels, bench_kernel_lowering, bench_quantizers, bench_training_step, bench_telemetry_overhead
 }
 criterion_main!(benches);

@@ -2,13 +2,13 @@
 //! programs (per-tap offsets into zero-padded planes) vs the
 //! batch-major SIMD lanes on a CIFAR-scale shift-add layer and on
 //! network 1's small 4×4 plane, where most positions touch padding,
-//! plus the lowered cores under both engine execution policies. Set
+//! plus the lowered cores behind a compiled two-conv engine. Set
 //! FLIGHT_FIDELITY=smoke|bench|full and (optionally)
 //! FLIGHT_TELEMETRY=stderr|jsonl:<path>. The manifest carries top-level
 //! `parity`, `simd_parity`, `speedup`, `scalar_vs_simd_speedup`,
 //! `small_plane_parity` and `small_plane_scalar_vs_simd` fields so CI
 //! can gate on them: the parity fields are the bitwise logits-and-counts
-//! agreement of every pair measured here, `speedup` is the dispatched
+//! agreement of every kernel pair measured here, `speedup` is the dispatched
 //! kernel over naive (single thread), and the `scalar_vs_simd` ratios
 //! are the SIMD lane path over the pinned per-image scalar path on the
 //! same lowered program.
@@ -19,8 +19,8 @@ use flight_bench::suite::ModelRow;
 use flight_bench::{BenchProfile, BenchRun};
 use flight_data::Fidelity;
 use flight_kernels::{
-    active_path, shift_add_conv, shift_add_conv_reference, shift_add_conv_with_path,
-    CompileOptions, ExecutionPolicy, IntNetwork, KernelPath, QuantActivations, ShiftKernel, LANES,
+    active_path, shift_add_conv, shift_add_conv_reference, shift_add_conv_with_path, CompiledNet,
+    ExecCtx, KernelPath, QuantActivations, ShiftKernel, LANES,
 };
 use flight_telemetry::json::JsonValue;
 use flight_tensor::Tensor;
@@ -61,7 +61,7 @@ fn main() {
     // vs the interpreted reference, bitwise, logits and op counts both.
     let (lo_out, lo_counts) = shift_add_conv(&qa, &kernel, 1, 1);
     let (re_out, re_counts) = shift_add_conv_reference(&qa, &kernel, 1, 1);
-    let kernel_parity = lo_out.as_slice() == re_out.as_slice() && lo_counts == re_counts;
+    let parity = lo_out.as_slice() == re_out.as_slice() && lo_counts == re_counts;
 
     // Parity gate 1b: every pinned dispatch path against the same
     // oracle — AVX2/portable lanes and the per-image scalar path must
@@ -157,36 +157,23 @@ fn main() {
         small.out_channels, small.in_w, small.kernel, small.padding
     );
 
-    // Engine pass: the same lowered cores behind both execution
-    // policies, sharing one geometry-keyed lowering cache per kernel.
+    // Engine pass: the same lowered cores behind a compiled network.
     let mut net = QuantNet::new();
     let mut nrng = TensorRng::seed(profile.seed.wrapping_add(1));
     net.push_conv(QuantConv2d::new(&mut nrng, &scheme, 3, 8, 3, 1, 1));
     net.push_conv(QuantConv2d::new(&mut nrng, &scheme, 8, 8, 3, 1, 1));
-    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("net compiles");
-    let seq = engine.clone().with_policy(ExecutionPolicy::Sequential);
-    let threads = std::thread::available_parallelism().map_or(2, |c| c.get().max(2));
-    let par = engine.with_policy(ExecutionPolicy::Parallel { threads });
+    let engine = CompiledNet::compile(&mut net, false).expect("net compiles");
+    let mut ctx = ExecCtx::new();
     let nx = uniform(&mut nrng, &[batch, 3, SIDE, SIDE], -1.0, 1.0);
+    let _ = engine.forward(&nx, &mut ctx); // sizes the scratch
+    let start = Instant::now();
+    for _ in 0..reps {
+        let _ = engine.forward(&nx, &mut ctx);
+    }
+    let seq_ips = (reps * batch) as f64 / start.elapsed().as_secs_f64().max(1e-9);
+    println!("engine: {seq_ips:.1} img/s");
 
-    // Parity gate 2: sequential vs parallel over the lowered cores.
-    let (sq_out, sq_counts) = seq.forward(&nx);
-    let (pr_out, pr_counts) = par.forward(&nx);
-    let engine_parity = sq_out.as_slice() == pr_out.as_slice() && sq_counts == pr_counts;
-
-    let seq_ips = time(&|| {
-        let _ = seq.forward(&nx);
-    });
-    let par_ips = time(&|| {
-        let _ = par.forward(&nx);
-    });
-    println!("engine: sequential {seq_ips:.1} img/s | parallel({threads}) {par_ips:.1} img/s");
-
-    let parity = kernel_parity && engine_parity;
-    println!(
-        "parity: {parity} (kernel {kernel_parity}, engine {engine_parity}, \
-         paths {simd_parity})"
-    );
+    println!("parity: {parity} (paths {simd_parity})");
 
     let row = |label: &str, ips: f64, rel: f64| ModelRow {
         label: label.to_string(),
@@ -223,14 +210,7 @@ fn main() {
         ),
         (
             "engine".to_string(),
-            vec![
-                row("lowered sequential", seq_ips, 1.0),
-                row(
-                    &format!("lowered parallel x{threads}"),
-                    par_ips,
-                    par_ips / seq_ips.max(1e-9),
-                ),
-            ],
+            vec![row("lowered sequential", seq_ips, 1.0)],
         ),
     ];
     run.finish_with(

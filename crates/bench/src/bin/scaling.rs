@@ -9,24 +9,25 @@
 //! `flightctl capacity`. Set FLIGHT_FIDELITY=smoke|bench|full and
 //! (optionally) FLIGHT_TELEMETRY=stderr|jsonl:<path>.
 //!
-//! The latency histograms come from the engine itself: each parallel
-//! worker records per-image `chunk.latency.e2e` into a
-//! [`Log2Histogram`] shard and this exhibit merges the shards across
-//! workers and repetitions (merge == whole, by construction). The
-//! single-worker baseline runs the sequential path, where every image
-//! of a batch completes when the batch does, so its e2e histogram
-//! records the batch wall clock once per image.
+//! Workers scale the way the server does: N independent threads share
+//! one `Arc<CompiledNet>`, each with its own `ExecCtx`, each running
+//! whole batches. Every image of a batch completes when its batch does,
+//! so each worker records the batch wall clock once per image into its
+//! own [`Log2Histogram`] shard, and the shards merge into the
+//! configuration's distribution (merge == whole, by construction).
+//! Every worker's first forward is checked bit for bit against a
+//! single-context reference before its timing counts.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use flight_bench::suite::ModelRow;
 use flight_bench::usl::fit_usl;
 use flight_bench::{BenchProfile, BenchRun};
 use flight_data::{DatasetKind, Fidelity, SyntheticDataset};
-use flight_kernels::{CompileOptions, ExecutionPolicy, IntNetwork};
+use flight_kernels::{CompiledNet, ExecCtx};
 use flight_telemetry::json::{JsonObject, JsonValue};
-use flight_telemetry::{CollectingSink, EventKind, Log2Histogram, Telemetry};
+use flight_telemetry::Log2Histogram;
 use flight_tensor::{Tensor, TensorRng};
 use flightnn::configs::NetworkConfig;
 use flightnn::QuantScheme;
@@ -49,7 +50,8 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
 
     let (worker_counts, batches, reps) = sweep_plan(profile.fidelity, cores);
-    run.set_workers(*worker_counts.last().expect("nonempty sweep"));
+    let max_workers = *worker_counts.last().expect("nonempty sweep");
+    run.set_workers(max_workers);
     println!(
         "Scaling sweep: network 1, L-1, workers {worker_counts:?} x batches {batches:?}, \
          {reps} reps, {cores} cores, profile {:?}",
@@ -67,41 +69,14 @@ fn main() {
         data.image_dims(),
         profile.width_scale(cfg.width),
     );
-    let engine = IntNetwork::compile_with(
-        &mut net,
-        CompileOptions::new()
-            .fold_batch_norm(true)
-            .telemetry(run.telemetry().clone()),
-    )
-    .expect("network 1 compiles");
-
-    // Parity gate at the widest configuration: the split the sweep is
-    // about to time must be bit-identical to the sequential path.
-    let max_workers = *worker_counts.last().expect("nonempty sweep");
-    let probe = data.train_batches(REFERENCE_BATCH)[0].input.clone();
-    let (seq_logits, seq_counts) = engine
-        .clone()
-        .with_policy(ExecutionPolicy::Sequential)
-        .forward(&probe);
-    let (par_logits, par_counts) = engine
-        .clone()
-        .with_policy(ExecutionPolicy::Parallel {
-            threads: max_workers,
-        })
-        .forward(&probe);
-    assert_eq!(
-        seq_logits.as_slice(),
-        par_logits.as_slice(),
-        "parallel logits diverge from sequential"
-    );
-    assert_eq!(seq_counts, par_counts, "parallel op counts diverge");
-    println!("parity OK at {max_workers} workers");
+    let engine = Arc::new(CompiledNet::compile(&mut net, true).expect("network 1 compiles"));
 
     let mut points: Vec<ConfigPoint> = Vec::new();
     for &batch in &batches {
         let input = data.train_batches(batch)[0].input.clone();
+        let (reference, _) = engine.forward(&input, &mut ExecCtx::new());
         for &workers in &worker_counts {
-            let point = measure(&engine, workers, batch, &input, reps);
+            let point = measure(&engine, workers, batch, &input, &reference, reps);
             println!(
                 "w{workers} b{batch}: {:.1} img/s | p50 {:.3} ms | p99 {:.3} ms",
                 point.qps,
@@ -111,6 +86,7 @@ fn main() {
             points.push(point);
         }
     }
+    println!("parity OK at {max_workers} workers");
 
     // USL fit: throughput vs workers at the reference batch.
     let observations: Vec<(f64, f64)> = points
@@ -200,93 +176,69 @@ fn sweep_plan(fidelity: Fidelity, cores: usize) -> (Vec<usize>, Vec<usize>, usiz
     (workers, vec![16, REFERENCE_BATCH, 64], 10)
 }
 
-/// Measures one `(workers, batch)` cell: QPS over `reps` untraced
-/// forwards, plus the merged per-image e2e latency histogram.
+/// Measures one `(workers, batch)` cell: `workers` threads, each with
+/// its own context over the shared engine, run `reps` timed forwards of
+/// `input` after one untimed forward that must reproduce `reference`
+/// bit for bit. QPS counts every image every worker completed over the
+/// wall clock from the common start; each worker's e2e shard records
+/// its batch wall once per image.
 fn measure(
-    engine: &IntNetwork,
+    engine: &Arc<CompiledNet>,
     workers: usize,
     batch: usize,
     input: &Tensor,
+    reference: &Tensor,
     reps: usize,
 ) -> ConfigPoint {
-    let policy = if workers == 1 {
-        ExecutionPolicy::Sequential
-    } else {
-        ExecutionPolicy::Parallel { threads: workers }
-    };
-    let timed = engine
-        .clone()
-        .with_policy(policy)
-        .with_telemetry(Telemetry::null());
+    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let expected = bits(reference);
+    let start_line = Barrier::new(workers + 1);
+    let (wall, shards) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let net = Arc::clone(engine);
+                let (start_line, expected) = (&start_line, &expected);
+                scope.spawn(move || {
+                    let mut ctx = ExecCtx::new();
+                    let (warm, _) = net.forward(input, &mut ctx);
+                    assert_eq!(&bits(&warm), expected, "a worker's logits diverge");
+                    start_line.wait();
+                    let mut e2e = Log2Histogram::new();
+                    for _ in 0..reps {
+                        let rep_start = Instant::now();
+                        let _ = net.forward(input, &mut ctx);
+                        let rep_wall = rep_start.elapsed().as_secs_f64();
+                        for _ in 0..batch {
+                            e2e.record(rep_wall);
+                        }
+                    }
+                    e2e
+                })
+            })
+            .collect();
+        start_line.wait();
+        let start = Instant::now();
+        let shards: Vec<Log2Histogram> = handles
+            .into_iter()
+            .map(|h| h.join().expect("scaling worker panicked"))
+            .collect();
+        (start.elapsed().as_secs_f64(), shards)
+    });
 
     let mut e2e = Log2Histogram::new();
-    let start = Instant::now();
-    if workers == 1 {
-        // Sequential path: the whole batch finishes together, so each
-        // image's end-to-end latency is the batch wall clock.
-        for _ in 0..reps {
-            let rep_start = Instant::now();
-            let _ = timed.forward(input);
-            let wall = rep_start.elapsed().as_secs_f64();
-            for _ in 0..batch {
-                e2e.record(wall);
-            }
-        }
-    } else {
-        for _ in 0..reps {
-            let _ = timed.forward(input);
-        }
+    for shard in &shards {
+        e2e.merge(shard);
     }
-    let wall = start.elapsed().as_secs_f64();
-    let qps = (reps * batch) as f64 / wall.max(1e-9);
-
-    if workers > 1 {
-        // Histogram pass through a collecting sink: the engine's
-        // per-worker shards merge into the configuration's distribution.
-        // Timed separately from the QPS loop so sink costs stay out of
-        // the throughput number.
-        let sink = Arc::new(CollectingSink::new());
-        let traced = engine
-            .clone()
-            .with_policy(policy)
-            .with_telemetry(Telemetry::new(sink.clone()));
-        for _ in 0..reps {
-            let _ = traced.forward(input);
-        }
-        let mut engaged = false;
-        for event in sink.events() {
-            if event.kind == EventKind::Gauge && event.name == "kernel.forward.workers" {
-                engaged = engaged || event.value >= 2.0;
-            }
-            if event.kind != EventKind::Log2Hist || !event.name.ends_with(".chunk.latency.e2e") {
-                continue;
-            }
-            let stats = event
-                .text
-                .as_deref()
-                .and_then(|t| JsonValue::parse(t).ok())
-                .expect("log2hist events carry stats JSON");
-            let get = |k: &str| stats.get(k).and_then(JsonValue::as_f64);
-            let shard = Log2Histogram::from_bucket_pairs(
-                &event.buckets,
-                get("min").expect("nonempty shard has a finite min"),
-                get("max").expect("nonempty shard has a finite max"),
-            )
-            .expect("engine emits well-formed bucket labels");
-            e2e.merge(&shard);
-        }
-        assert!(engaged, "parallel path not engaged at {workers} workers");
-        assert_eq!(
-            e2e.total(),
-            (reps * batch) as u64,
-            "merged shards cover every image of every rep"
-        );
-    }
-
+    let images = workers * reps * batch;
+    assert_eq!(
+        e2e.total(),
+        images as u64,
+        "merged shards cover every image of every rep"
+    );
     ConfigPoint {
         workers,
         batch,
-        qps,
+        qps: images as f64 / wall.max(1e-9),
         e2e,
     }
 }

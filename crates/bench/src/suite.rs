@@ -4,7 +4,7 @@
 use flight_asic::{ComputeStyle, OpEnergy};
 use flight_data::{DatasetKind, SyntheticDataset};
 use flight_fpga::{implement_layer, Datapath, LayerDesign, ZC706};
-use flight_kernels::{CompileOptions, IntNetwork};
+use flight_kernels::{CompiledNet, ExecCtx};
 use flight_nn::evaluate;
 use flight_telemetry::Telemetry;
 use flight_tensor::TensorRng;
@@ -130,10 +130,7 @@ pub fn train_model(
 /// spans and op counters alongside the training events. Skipped (with a
 /// stderr note) if the model does not compile.
 fn probe_int_engine(net: &mut QuantNet, data: &SyntheticDataset, telemetry: &Telemetry) {
-    let options = CompileOptions::new()
-        .fold_batch_norm(true)
-        .telemetry(telemetry.clone());
-    let engine = match IntNetwork::compile_with(net, options) {
+    let engine = match CompiledNet::compile(net, true) {
         Ok(engine) => engine,
         Err(e) => {
             eprintln!("skipping integer-engine probe: {e}");
@@ -141,7 +138,10 @@ fn probe_int_engine(net: &mut QuantNet, data: &SyntheticDataset, telemetry: &Tel
         }
     };
     if let Some(batch) = data.test_batches(8).first() {
-        let _ = engine.forward(&batch.input);
+        let _ = engine.forward(
+            &batch.input,
+            &mut ExecCtx::with_telemetry(telemetry.clone()),
+        );
     }
 }
 

@@ -1,6 +1,6 @@
 //! Whole-network integer inference.
 //!
-//! [`IntNetwork::compile_with`] lowers a trained
+//! [`CompiledNet::compile`] lowers a trained
 //! [`QuantNet`](flightnn::QuantNet) into a deployment pipeline where
 //! every convolution and fully connected layer runs on the integer
 //! kernels of this crate — shift-add for (F)LightNN weights, integer
@@ -24,47 +24,47 @@
 //! re-quantizing dequantized floats at every conv (`tests/golden.rs`
 //! pins that).
 //!
-//! Compilation is configured through [`CompileOptions`]: batch-norm
-//! folding (the standard deployment transform; see
-//! [`CompileOptions::fold_batch_norm`] for how close the folded results
-//! are), a telemetry handle, and an [`ExecutionPolicy`] selecting
-//! sequential or multi-threaded batched execution. A single
-//! [`IntNetwork::forward`] dispatches internally to the traced/untraced
-//! and sequential/parallel paths.
-//!
 //! The engine surface is split **request-first**: [`CompiledNet`] is the
 //! immutable, `Send + Sync` compile-time half (the lowered stage list)
-//! and [`ExecCtx`] is the per-call half (scratch arenas + telemetry).
-//! N concurrent callers share one `Arc<CompiledNet>` and bring their own
-//! `ExecCtx` — the shape a long-running inference service needs, and
-//! what makes hot model swap a plain atomic `Arc` publish.
-//! [`IntNetwork`] wraps the pair up for single-owner callers.
+//! and [`ExecCtx`] is the per-call half (scratch arenas, kernel path,
+//! telemetry). N concurrent callers share one `Arc<CompiledNet>` and
+//! bring their own `ExecCtx` — the shape a long-running inference
+//! service needs, and what makes hot model swap a plain atomic `Arc`
+//! publish. Parallelism lives there, across whole batches: one forward
+//! runs on its caller's thread.
+//!
+//! Every forward walks the stages in one loop, `run_stages` (its body,
+//! `walk`, also runs residual branches), generic over a `StageObserver`:
+//! [`CompiledNet::forward`] runs it with the zero-sized `Unobserved`
+//! (the uninstrumented hot loop) or, with a live sink, a `Tracer`
+//! (spans and per-stage counters), and
+//! [`CompiledNet::forward_profiled`] with a `Profiler` filling a
+//! [`StageSample`]. Observers only watch, so logits and op counts are
+//! the same bits whichever one runs.
 //!
 //! Activations are quantized with one scale **per image**, so each
-//! image's integer pipeline is independent of its batchmates. That is
-//! what makes the parallel path bit-identical to the sequential one (and
-//! logits invariant under batch composition): splitting the batch across
-//! workers cannot change any image's quantization grid.
+//! image's integer pipeline is independent of its batchmates: an
+//! image's logits do not depend on the batch it was coalesced into.
 //!
 //! The compiled network reports aggregate [`OpCounts`], so a single
 //! forward pass measures exactly how many shifts/multiplies/adds the
 //! model costs — the numbers the ASIC energy model prices.
 
 use std::borrow::Cow;
+use std::time::Instant;
 
 use flight_nn::layers::MaxPool2d;
-use flight_telemetry::{StageSample, Telemetry};
+use flight_telemetry::{Span, StageSample, Telemetry};
 use flight_tensor::{Conv2dGeometry, Tensor};
 use flightnn::convert::shift_plan;
 use flightnn::layers::{QuantConv2d, QuantLinear};
 use flightnn::net::{NetLayer, QuantNet};
 
 use crate::counts::OpCounts;
-use crate::exec::{forward_parallel, Scratch};
 use crate::fixed::{fixed_point_conv_core, FixedWeights};
 use crate::qact::QuantActivations;
 use crate::shift::{shift_add_conv_core, ShiftKernel};
-use crate::simd::{active_path, KernelPath};
+use crate::simd::{KernelPath, LaneCtx};
 
 /// How a compiled conv/linear layer multiplies.
 #[derive(Debug, Clone)]
@@ -135,7 +135,7 @@ pub(crate) struct Epilogue {
 /// The bits every requantization (fused or not) quantizes to.
 const REQUANT_BITS: u32 = 8;
 
-/// Errors from [`IntNetwork::compile_with`].
+/// Errors from [`CompiledNet::compile`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
     /// A plain layer the compiler does not recognize.
@@ -154,149 +154,93 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// How [`IntNetwork::forward`] walks a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionPolicy {
-    /// One thread, image after image — deterministic stage-by-stage
-    /// tracing (per-stage spans and counters when telemetry is live).
-    Sequential,
-    /// Split the batch into contiguous image chunks on a crossbeam
-    /// scoped-thread pool. `threads == 0` means "use every available
-    /// core" (`std::thread::available_parallelism`). The worker count is
-    /// additionally capped by the batch size, and batches of one image
-    /// fall back to the sequential path.
-    Parallel {
-        /// Upper bound on worker threads; 0 = auto.
-        threads: usize,
-    },
+/// Reusable per-context buffers: the padded integer planes a conv stage
+/// reads, the float accumulator a fused conv stage's epilogue works in,
+/// the code arenas requantized activations travel between stages in,
+/// and the lane context (dispatch path plus the batch-blocked SIMD
+/// arena). Every buffer grows to the largest stage once and is reused
+/// from then on, so a warmed walk allocates nothing here.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Integer activation codes, row-major over the whole batch; conv
+    /// stages write one zero-padded plane per image here.
+    pub codes: Vec<i32>,
+    /// One quantization scale per image.
+    pub scales: Vec<f32>,
+    /// A fused conv stage's float output, before it is requantized.
+    pub acc: Vec<f32>,
+    /// Requantized activations between stages. A straight pipeline
+    /// ping-pongs between two; a residual block holds its input's arena
+    /// while its branches run, which may add a third.
+    pub arenas: Vec<CodeArena>,
+    /// Kernel dispatch path plus the lane-major blocked arena the SIMD
+    /// lanes read.
+    pub lanes: LaneCtx,
 }
 
-impl Default for ExecutionPolicy {
-    /// Parallel with auto-sized thread count.
-    fn default() -> Self {
-        ExecutionPolicy::Parallel { threads: 0 }
-    }
+/// One image batch of requantized activations, `codes · scale` per
+/// image, plus the number of live readers.
+#[derive(Debug, Default)]
+pub(crate) struct CodeArena {
+    pub codes: Vec<i32>,
+    pub scales: Vec<f32>,
+    readers: u32,
 }
 
-impl ExecutionPolicy {
-    /// Worker threads this policy engages for a batch of `batch` images
-    /// (1 means "run sequentially").
-    pub fn worker_count(&self, batch: usize) -> usize {
-        match *self {
-            ExecutionPolicy::Sequential => 1,
-            ExecutionPolicy::Parallel { threads } => {
-                let limit = if threads == 0 {
-                    std::thread::available_parallelism()
-                        .map(|p| p.get())
-                        .unwrap_or(1)
-                } else {
-                    threads
-                };
-                limit.min(batch).max(1)
-            }
-        }
-    }
-}
-
-/// Builder for [`IntNetwork::compile_with`]: batch-norm folding, the
-/// telemetry handle, and the execution policy in one place.
-///
-/// ```
-/// use flight_kernels::{CompileOptions, ExecutionPolicy};
-/// use flight_telemetry::Telemetry;
-///
-/// let options = CompileOptions::new()
-///     .fold_batch_norm(true)
-///     .telemetry(Telemetry::from_env())
-///     .policy(ExecutionPolicy::Parallel { threads: 4 });
-/// assert!(options.folds_batch_norm());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CompileOptions {
-    fold_batch_norm: bool,
-    telemetry: Telemetry,
-    policy: ExecutionPolicy,
-    force_scalar: bool,
-}
-
-impl CompileOptions {
-    /// The defaults: no batch-norm folding, null telemetry, parallel
-    /// execution with auto-sized thread count.
-    pub fn new() -> Self {
-        CompileOptions::default()
+impl Scratch {
+    /// An arena no live value reads, now with one reader.
+    pub fn acquire(&mut self) -> usize {
+        let free = self.arenas.iter().position(|a| a.readers == 0);
+        let i = free.unwrap_or_else(|| {
+            self.arenas.push(CodeArena::default());
+            self.arenas.len() - 1
+        });
+        self.arenas[i].readers = 1;
+        i
     }
 
-    /// Folds each conv's bias into the following batch norm's bias —
-    /// `a·(v + cb) + b` becomes `a·v + (a·cb + b)`. This is not
-    /// bit-identical: the two forms round differently in f32, so folded
-    /// logits agree with unfolded ones to about 1e-5, not bit for bit.
-    /// The stage count is the same either way.
-    pub fn fold_batch_norm(mut self, fold: bool) -> Self {
-        self.fold_batch_norm = fold;
-        self
+    /// Adds a reader to arena `i` (a residual block's second branch).
+    pub fn retain(&mut self, i: usize) {
+        self.arenas[i].readers += 1;
     }
 
-    /// Attaches a telemetry handle (default: the null sink).
-    pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Sets the execution policy.
-    pub fn policy(mut self, policy: ExecutionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Shorthand for `policy(ExecutionPolicy::Parallel { threads })`.
-    pub fn threads(self, threads: usize) -> Self {
-        self.policy(ExecutionPolicy::Parallel { threads })
-    }
-
-    /// Shorthand for `policy(ExecutionPolicy::Sequential)`.
-    pub fn sequential(self) -> Self {
-        self.policy(ExecutionPolicy::Sequential)
-    }
-
-    /// Pins the per-image scalar kernel path, ignoring SIMD detection —
-    /// the programmatic form of the
-    /// [`FLIGHT_FORCE_SCALAR`](crate::FORCE_SCALAR_ENV) escape hatch
-    /// (which also works: the env var wins at detection time).
-    pub fn force_scalar(mut self, force: bool) -> Self {
-        self.force_scalar = force;
-        self
-    }
-
-    /// Whether the scalar kernel path is pinned.
-    pub fn forces_scalar(&self) -> bool {
-        self.force_scalar
-    }
-
-    /// Whether batch-norm folding is enabled.
-    pub fn folds_batch_norm(&self) -> bool {
-        self.fold_batch_norm
-    }
-
-    /// The configured execution policy.
-    pub fn execution_policy(&self) -> ExecutionPolicy {
-        self.policy
+    /// Drops one reader of arena `i`; with none left it is free.
+    pub fn release(&mut self, i: usize) {
+        self.arenas[i].readers -= 1;
     }
 }
 
 /// The immutable, shareable half of a compiled network: the lowered
 /// stage list and nothing else.
 ///
-/// A `CompiledNet` is `Send + Sync` — it holds no scratch buffers, no
-/// telemetry handle, and no execution policy, so any number of threads
-/// can run [`CompiledNet::forward`] on one instance concurrently, each
-/// with its own [`ExecCtx`]. This is the type a long-running service
-/// shares behind an `Arc`: the serve crate's hot-swap slot publishes an
+/// A `CompiledNet` is `Send + Sync` — it holds no scratch buffers and no
+/// telemetry handle, so any number of threads can run
+/// [`CompiledNet::forward`] on one instance concurrently, each with its
+/// own [`ExecCtx`]. This is the type a long-running service shares
+/// behind an `Arc`: the serve crate's hot-swap slot publishes an
 /// `Arc<CompiledNet>` and every server worker clones the `Arc` on its
 /// read path.
 ///
-/// [`IntNetwork`] remains the convenient single-owner facade (policy +
-/// telemetry bundled in); it is now a thin wrapper over
-/// `Arc<CompiledNet>`.
+/// # Example
+///
+/// ```
+/// use flight_kernels::{CompiledNet, ExecCtx};
+/// use flight_tensor::{Tensor, TensorRng};
+/// use flightnn::{configs::NetworkConfig, QuantScheme};
+///
+/// # fn main() -> Result<(), flight_kernels::engine::CompileError> {
+/// let mut rng = TensorRng::seed(0);
+/// let mut net = NetworkConfig::by_id(1)
+///     .build(&QuantScheme::l1(), &mut rng, 10, [3, 16, 16], 0.25);
+/// let engine = CompiledNet::compile(&mut net, false)?;
+/// let mut ctx = ExecCtx::new();
+/// let x = Tensor::zeros(&[1, 3, 16, 16]);
+/// let (logits, counts) = engine.forward(&x, &mut ctx);
+/// assert_eq!(logits.dims(), &[1, 10]);
+/// assert_eq!(counts.int_mults, 0); // multiplier-free
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct CompiledNet {
     layers: Vec<IntLayer>,
@@ -312,8 +256,8 @@ const _: () = {
 };
 
 /// Per-call execution state: the reusable activation-quantization
-/// scratch arenas plus the telemetry handle events of this call are
-/// attributed to.
+/// scratch arenas, the kernel dispatch path, and the telemetry handle
+/// events of this call are attributed to.
 ///
 /// An `ExecCtx` is cheap to create but worth keeping: the scratch
 /// buffers grow to the largest activation plane once and are reused by
@@ -358,30 +302,128 @@ impl ExecCtx {
         self.scratch.lanes.path()
     }
 
-    /// Re-pins the kernel dispatch path, keeping the warmed-up scratch
-    /// (the engine sets this from [`CompileOptions::force_scalar`]).
+    /// Re-pins the kernel dispatch path, keeping the warmed-up scratch —
+    /// `set_kernel_path(KernelPath::Scalar)` is the programmatic form of
+    /// the [`FLIGHT_FORCE_SCALAR`](crate::FORCE_SCALAR_ENV) escape hatch.
     pub fn set_kernel_path(&mut self, path: KernelPath) {
         self.scratch.lanes.set_path(path);
     }
 }
 
-/// Emits the requested kernel dispatch path as a
-/// `kernel.dispatch.<path>` gauge, so traces record which lane
-/// implementation the forward asked for (skipped on the null sink).
-/// Individual stages may still run scalar; the engaged per-stage split
-/// is what [`CompiledNet::forward_profiled`] records.
-fn emit_dispatch(telemetry: &Telemetry, path: KernelPath) {
-    if telemetry.enabled() {
-        telemetry.gauge(&format!("kernel.dispatch.{}", path.name()), 1.0, "path");
+/// What `run_stages` reports each stage to. Both hooks default to
+/// nothing, so an observer overrides only what it watches. A residual
+/// block is one stage: its branches run unobserved inside it.
+trait StageObserver {
+    /// Stage `index`, of kind `kind`, is about to run; `counts` holds
+    /// the forward's op totals so far.
+    fn enter(
+        &mut self,
+        _telemetry: &Telemetry,
+        _index: usize,
+        _kind: &'static str,
+        _counts: &OpCounts,
+    ) {
+    }
+
+    /// The stage just ran; `lanes` holds the lane and scalar images its
+    /// integer kernels engaged (see [`LaneCtx::take_engaged`]).
+    fn exit(&mut self, _telemetry: &Telemetry, _counts: &OpCounts, _lanes: &mut LaneCtx) {}
+}
+
+/// The zero-sized observer of the uninstrumented hot loop.
+struct Unobserved;
+
+impl StageObserver for Unobserved {}
+
+/// A live sink's observer: a `kernel.stage.<i>.<kind>` span around each
+/// stage plus one counter per nonzero [`OpCounts`] field it spent, and
+/// whether any stage engaged the SIMD lanes.
+#[derive(Default)]
+struct Tracer {
+    stage: Option<(String, Span, OpCounts)>,
+    lanes: bool,
+}
+
+impl StageObserver for Tracer {
+    fn enter(
+        &mut self,
+        telemetry: &Telemetry,
+        index: usize,
+        kind: &'static str,
+        counts: &OpCounts,
+    ) {
+        let name = format!("kernel.stage.{index:02}.{kind}");
+        let span = telemetry.span(&name);
+        self.stage = Some((name, span, *counts));
+    }
+
+    fn exit(&mut self, telemetry: &Telemetry, counts: &OpCounts, lanes: &mut LaneCtx) {
+        if let Some((name, span, before)) = self.stage.take() {
+            drop(span);
+            for (field, n) in counts.delta(before).fields() {
+                if n > 0 {
+                    telemetry.counter(&format!("{name}.{field}"), n, "op");
+                }
+            }
+        }
+        self.lanes |= lanes.take_engaged().0 > 0;
+    }
+}
+
+/// The sampling profiler's observer: per-stage wall nanoseconds, op
+/// totals and engaged lane/scalar images into a [`StageSample`]. It
+/// emits nothing and allocates nothing.
+struct Profiler<'s> {
+    sample: &'s mut StageSample,
+    kind: &'static str,
+    before: OpCounts,
+    start: Instant,
+    lanes: bool,
+}
+
+impl StageObserver for Profiler<'_> {
+    fn enter(&mut self, _: &Telemetry, _: usize, kind: &'static str, counts: &OpCounts) {
+        self.kind = kind;
+        self.before = *counts;
+        self.start = Instant::now();
+    }
+
+    fn exit(&mut self, _: &Telemetry, counts: &OpCounts, lanes: &mut LaneCtx) {
+        let wall_ns = self.start.elapsed().as_nanos() as u64;
+        let (lane, scalar) = lanes.take_engaged();
+        self.lanes |= lane > 0;
+        self.sample.record_kernel_stage(
+            self.kind,
+            wall_ns,
+            counts.delta(self.before).total(),
+            lane,
+            scalar,
+        );
+    }
+}
+
+/// The path a forward actually ran: the requested lane path if any stage
+/// engaged the lanes, `scalar` otherwise (a batch smaller than one lane
+/// block never shows as `avx2`).
+fn ran_path(requested: KernelPath, any_lanes: bool) -> KernelPath {
+    if any_lanes {
+        requested
+    } else {
+        KernelPath::Scalar
     }
 }
 
 impl CompiledNet {
     /// Lowers a trained network to the integer stage list, fusing each
     /// conv with the batch norm, LeakyReLU and requantization that
-    /// follow it. With `fold_batch_norm`, conv biases fold into the batch
-    /// norms first — close to, but not bit-identical with, the unfolded
-    /// results (see [`CompileOptions::fold_batch_norm`]).
+    /// follow it.
+    ///
+    /// With `fold_batch_norm`, each conv's bias folds into the following
+    /// batch norm's bias first — `a·(v + cb) + b` becomes
+    /// `a·v + (a·cb + b)`, the standard deployment transform. This is
+    /// not bit-identical: the two forms round differently in f32, so
+    /// folded logits agree with unfolded ones to about 1e-5, not bit for
+    /// bit. The stage count is the same either way.
     ///
     /// # Errors
     ///
@@ -403,77 +445,52 @@ impl CompiledNet {
         self.layers.len()
     }
 
-    /// Runs the pipeline sequentially on a float input batch `[n, …]`
-    /// through `ctx`'s scratch arenas. With a live telemetry handle on
-    /// the context every stage emits a `kernel.stage.<i>.<kind>` span
-    /// plus per-stage op counters; with the null sink this is the
-    /// uninstrumented hot loop.
+    /// Runs the pipeline on a float input batch `[n, …]` through `ctx`'s
+    /// scratch arenas, returning the logits and the integer-op counts of
+    /// this pass.
+    ///
+    /// With the null sink this is the uninstrumented hot loop. With a
+    /// live telemetry handle on the context the pass is bracketed by a
+    /// `kernel.forward` span; every stage `i` emits a
+    /// `kernel.stage.<i>.<kind>` span plus one counter per nonzero
+    /// [`OpCounts`] field it spent; every activation quantization
+    /// reports `kernel.qact.<conv|linear|requant>.saturated` /
+    /// `.quantized` counters (codes at the representable rail vs codes
+    /// produced, the clamp-rate signal `flightctl health` checks); and
+    /// after the walk a `kernel.dispatch.<path>` gauge names the path
+    /// that actually ran (the rule of
+    /// [`forward_profiled`](Self::forward_profiled)).
     pub fn forward(&self, input: &Tensor, ctx: &mut ExecCtx) -> (Tensor, OpCounts) {
-        if ctx.telemetry.enabled() {
-            self.forward_traced(input, ctx)
-        } else {
-            let mut counts = OpCounts::default();
-            let out = run_layers(
-                &self.layers,
-                &ctx.telemetry,
-                input,
-                &mut counts,
-                &mut ctx.scratch,
-            );
-            (out, counts)
+        if !ctx.telemetry.enabled() {
+            return self.run_stages(input, ctx, &mut Unobserved);
         }
+        let span = ctx.telemetry.span("kernel.forward");
+        ctx.scratch.lanes.take_engaged();
+        let mut tracer = Tracer::default();
+        let result = self.run_stages(input, ctx, &mut tracer);
+        let ran = ran_path(ctx.kernel_path(), tracer.lanes);
+        ctx.telemetry
+            .gauge(&format!("kernel.dispatch.{}", ran.name()), 1.0, "path");
+        drop(span);
+        result
     }
 
-    /// Runs the pipeline under `policy`: batches that engage more than
-    /// one worker split across crossbeam scoped threads (each worker
-    /// with its own internal scratch); everything else runs through
-    /// `ctx` on the calling thread. All paths are bit-identical because
-    /// activations quantize with one scale per image.
-    pub fn forward_with(
-        &self,
-        input: &Tensor,
-        policy: ExecutionPolicy,
-        ctx: &mut ExecCtx,
-    ) -> (Tensor, OpCounts) {
-        let batch = input.dims().first().copied().unwrap_or(0);
-        let workers = policy.worker_count(batch);
-        if workers > 1 {
-            let span = ctx.telemetry.span("kernel.forward");
-            ctx.telemetry
-                .gauge("kernel.forward.workers", workers as f64, "worker");
-            emit_dispatch(&ctx.telemetry, ctx.kernel_path());
-            let result = forward_parallel(
-                &self.layers,
-                &ctx.telemetry,
-                input,
-                workers,
-                ctx.kernel_path(),
-            );
-            drop(span);
-            result
-        } else {
-            self.forward(input, ctx)
-        }
-    }
-
-    /// Runs the pipeline sequentially while filling `sample` with
-    /// per-stage wall nanoseconds, op totals, and the images each
-    /// integer conv stage ran on SIMD lane blocks vs the per-image
-    /// scalar loop — the [`StageProf`](flight_telemetry::StageProf) hook
-    /// the serving profiler uses for 1-in-N sampled requests.
+    /// Runs the pipeline while filling `sample` with per-stage wall
+    /// nanoseconds, op totals, and the images each integer conv stage
+    /// ran on SIMD lane blocks vs the per-image scalar loop — the
+    /// [`StageProf`](flight_telemetry::StageProf) hook the serving
+    /// profiler uses for 1-in-N sampled requests.
     ///
     /// The sample's path tag is the path that actually ran: the
     /// requested lane path if any stage engaged the lanes, `scalar`
     /// otherwise (a batch smaller than one lane block never shows as
     /// `avx2`).
     ///
-    /// Unlike [`forward_traced`](Self::forward), this path emits no
-    /// spans, no counters, and allocates nothing: each stage costs one
+    /// Unlike a traced [`forward`](Self::forward), this emits no spans,
+    /// no counters, and allocates nothing: each stage costs one
     /// `Instant::now()` pair and a few array stores into the
-    /// caller-owned scratch. Profiled forwards always take the
-    /// sequential stage walk (per-stage attribution requires it); the
-    /// logits are bit-identical to every other path because activations
-    /// quantize with one scale per image.
+    /// caller-owned scratch. The logits and op counts are bit-identical
+    /// to every other forward.
     pub fn forward_profiled(
         &self,
         input: &Tensor,
@@ -482,205 +499,39 @@ impl CompiledNet {
     ) -> (Tensor, OpCounts) {
         sample.reset();
         sample.set_images(input.dims().first().copied().unwrap_or(0) as u64);
-        let mut counts = OpCounts::default();
-        let mut x = Act::Float(Cow::Borrowed(input));
-        let mut any_lanes = false;
         ctx.scratch.lanes.take_engaged();
-        for layer in &self.layers {
-            let before = counts;
-            let start = std::time::Instant::now();
-            x = run_layer(layer, &ctx.telemetry, x, &mut counts, &mut ctx.scratch);
-            let wall_ns = start.elapsed().as_nanos() as u64;
-            let (lane, scalar) = ctx.scratch.lanes.take_engaged();
-            any_lanes |= lane > 0;
-            sample.record_kernel_stage(
-                stage_kind(layer),
-                wall_ns,
-                counts.delta(before).total(),
-                lane,
-                scalar,
-            );
-        }
-        sample.set_path(if any_lanes {
-            ctx.kernel_path().name()
-        } else {
-            KernelPath::Scalar.name()
-        });
-        (x.into_float(&mut ctx.scratch).into_owned(), counts)
+        let mut profiler = Profiler {
+            sample,
+            kind: "",
+            before: OpCounts::default(),
+            start: Instant::now(),
+            lanes: false,
+        };
+        let result = self.run_stages(input, ctx, &mut profiler);
+        let ran = ran_path(ctx.kernel_path(), profiler.lanes);
+        profiler.sample.set_path(ran.name());
+        result
     }
 
-    /// Sequential execution with per-stage spans and counters.
-    fn forward_traced(&self, input: &Tensor, ctx: &mut ExecCtx) -> (Tensor, OpCounts) {
-        let forward_span = ctx.telemetry.span("kernel.forward");
-        ctx.telemetry.gauge("kernel.forward.workers", 1.0, "worker");
-        emit_dispatch(&ctx.telemetry, ctx.kernel_path());
+    /// Walks the stage list over `input` under `obs`. The input is
+    /// borrowed for the first stage (no upfront clone); `ctx`'s scratch
+    /// holds the reusable planes, accumulators and code arenas.
+    fn run_stages<O: StageObserver>(
+        &self,
+        input: &Tensor,
+        ctx: &mut ExecCtx,
+        obs: &mut O,
+    ) -> (Tensor, OpCounts) {
         let mut counts = OpCounts::default();
-        // Borrow the input for the first stage instead of cloning it;
-        // every later stage consumes the previous stage's output.
-        let mut x = Act::Float(Cow::Borrowed(input));
-        for (i, layer) in self.layers.iter().enumerate() {
-            let before = counts;
-            let name = format!("kernel.stage.{i:02}.{}", stage_kind(layer));
-            let stage_span = ctx.telemetry.span(&name);
-            x = run_layer(layer, &ctx.telemetry, x, &mut counts, &mut ctx.scratch);
-            drop(stage_span);
-            for (field, n) in counts.delta(before).fields() {
-                if n > 0 {
-                    ctx.telemetry.counter(&format!("{name}.{field}"), n, "op");
-                }
-            }
-        }
-        drop(forward_span);
-        (x.into_float(&mut ctx.scratch).into_owned(), counts)
-    }
-}
-
-/// A `QuantNet` lowered to integer execution: an `Arc<CompiledNet>`
-/// bundled with a telemetry handle and an [`ExecutionPolicy`] — the
-/// convenient single-owner facade over the [`CompiledNet`]/[`ExecCtx`]
-/// split.
-///
-/// # Example
-///
-/// ```
-/// use flight_kernels::{CompileOptions, IntNetwork};
-/// use flight_tensor::{Tensor, TensorRng};
-/// use flightnn::{configs::NetworkConfig, QuantScheme};
-///
-/// # fn main() -> Result<(), flight_kernels::engine::CompileError> {
-/// let mut rng = TensorRng::seed(0);
-/// let mut net = NetworkConfig::by_id(1)
-///     .build(&QuantScheme::l1(), &mut rng, 10, [3, 16, 16], 0.25);
-/// let engine = IntNetwork::compile_with(&mut net, CompileOptions::new())?;
-/// let x = Tensor::zeros(&[1, 3, 16, 16]);
-/// let (logits, counts) = engine.forward(&x);
-/// assert_eq!(logits.dims(), &[1, 10]);
-/// assert_eq!(counts.int_mults, 0); // multiplier-free
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct IntNetwork {
-    net: std::sync::Arc<CompiledNet>,
-    telemetry: Telemetry,
-    policy: ExecutionPolicy,
-    kernel_path: KernelPath,
-}
-
-impl IntNetwork {
-    /// Compiles a trained network according to `options`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::UnsupportedLayer`] for plain layers the
-    /// integer pipeline does not know (none are produced by
-    /// [`NetworkConfig::build`](flightnn::configs::NetworkConfig::build)).
-    pub fn compile_with(net: &mut QuantNet, options: CompileOptions) -> Result<Self, CompileError> {
-        let compiled = CompiledNet::compile(net, options.fold_batch_norm)?;
-        Ok(IntNetwork {
-            net: std::sync::Arc::new(compiled),
-            telemetry: options.telemetry,
-            policy: options.policy,
-            kernel_path: if options.force_scalar {
-                KernelPath::Scalar
-            } else {
-                active_path()
-            },
-        })
-    }
-
-    /// The kernel dispatch path this network's forwards request
-    /// (resolved once at compile time from [`CompileOptions::force_scalar`],
-    /// the `FLIGHT_FORCE_SCALAR` environment, and CPU detection).
-    pub fn kernel_path(&self) -> KernelPath {
-        self.kernel_path
-    }
-
-    /// The shared compiled half. Clone the `Arc` to hand the stage list
-    /// to other threads (or a hot-swap slot) without duplicating it.
-    pub fn compiled(&self) -> std::sync::Arc<CompiledNet> {
-        self.net.clone()
-    }
-
-    /// Attaches a telemetry handle (default: the null sink). With a live
-    /// sink, [`IntNetwork::forward`] emits a `kernel.forward` span plus
-    /// per-stage spans (sequential) or per-worker spans (parallel).
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Replaces the telemetry handle in place.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
-    /// Replaces the execution policy, keeping the compiled stages — the
-    /// cheap way to compare sequential and parallel runs of one network.
-    pub fn with_policy(mut self, policy: ExecutionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Replaces the execution policy in place.
-    pub fn set_policy(&mut self, policy: ExecutionPolicy) {
-        self.policy = policy;
-    }
-
-    /// The active execution policy.
-    pub fn policy(&self) -> ExecutionPolicy {
-        self.policy
-    }
-
-    /// Number of pipeline stages (after epilogue fusion).
-    pub fn stages(&self) -> usize {
-        self.net.stages()
-    }
-
-    /// Runs the integer pipeline on a float input batch `[n, …]`,
-    /// returning the logits and the aggregate integer-op counts of this
-    /// pass.
-    ///
-    /// Dispatches internally:
-    ///
-    /// * **Parallel** (policy allows it and `n ≥ 2`): the batch is split
-    ///   into contiguous image chunks on a crossbeam scoped-thread pool;
-    ///   per-worker scratch buffers are reused across stages and
-    ///   [`OpCounts`] are reduced associatively. With a live sink the
-    ///   pass is bracketed by a `kernel.forward` span, reports a
-    ///   `kernel.forward.workers` gauge, and each worker `w` emits
-    ///   `kernel.worker.<w>.chunk` spans/counters.
-    /// * **Sequential + traced**: every pipeline stage `i` emits a
-    ///   `kernel.stage.<i>.<kind>` span plus one counter per nonzero
-    ///   [`OpCounts`] field that stage spent. Every activation
-    ///   quantization additionally reports
-    ///   `kernel.qact.<conv|linear|requant>.saturated` / `.quantized`
-    ///   counters (codes at the representable rail vs codes produced),
-    ///   the clamp-rate signal `flightctl health` checks.
-    /// * **Sequential + null sink**: the uninstrumented hot loop, no
-    ///   telemetry branches inside.
-    ///
-    /// Activation scales are per image, so all three paths produce
-    /// bit-identical logits and identical op counts.
-    pub fn forward(&self, input: &Tensor) -> (Tensor, OpCounts) {
-        let mut ctx = ExecCtx::with_telemetry(self.telemetry.clone());
-        ctx.set_kernel_path(self.kernel_path);
-        self.net.forward_with(input, self.policy, &mut ctx)
-    }
-
-    /// Like [`IntNetwork::forward`], but writes the logits into a
-    /// caller-provided tensor — the serving path keeps one logits buffer
-    /// alive instead of allocating per request. When `out` already has
-    /// the right shape its allocation is reused; otherwise it is
-    /// replaced.
-    pub fn forward_into(&self, input: &Tensor, out: &mut Tensor) -> OpCounts {
-        let (logits, counts) = self.forward(input);
-        if out.dims() == logits.dims() {
-            out.as_mut_slice().copy_from_slice(logits.as_slice());
-        } else {
-            *out = logits;
-        }
-        counts
+        let out = walk(
+            &self.layers,
+            &ctx.telemetry,
+            Act::Float(Cow::Borrowed(input)),
+            &mut counts,
+            &mut ctx.scratch,
+            obs,
+        );
+        (out.into_float(&mut ctx.scratch).into_owned(), counts)
     }
 }
 
@@ -981,43 +832,30 @@ impl<'a> Act<'a> {
     }
 }
 
-/// Runs the full stage list sequentially. The input is borrowed for the
-/// first stage (no upfront clone); `scratch` holds the reusable planes,
-/// accumulators and code arenas.
-pub(crate) fn run_layers(
-    layers: &[IntLayer],
-    telemetry: &Telemetry,
-    input: &Tensor,
-    counts: &mut OpCounts,
-    scratch: &mut Scratch,
-) -> Tensor {
-    let out = walk(
-        layers,
-        telemetry,
-        Act::Float(Cow::Borrowed(input)),
-        counts,
-        scratch,
-    );
-    out.into_float(scratch).into_owned()
-}
-
-fn walk<'a>(
-    layers: &[IntLayer],
+/// The one loop over compiled stages: runs `stages` over `x`, reporting
+/// each to `obs`. Residual blocks run their branches through it too,
+/// unobserved.
+fn walk<'a, O: StageObserver>(
+    stages: &[IntLayer],
     telemetry: &Telemetry,
     mut x: Act<'a>,
     counts: &mut OpCounts,
     scratch: &mut Scratch,
+    obs: &mut O,
 ) -> Act<'a> {
-    for layer in layers {
-        x = run_layer(layer, telemetry, x, counts, scratch);
+    for (i, stage) in stages.iter().enumerate() {
+        obs.enter(telemetry, i, stage_kind(stage), counts);
+        x = run_layer(stage, telemetry, x, counts, scratch);
+        obs.exit(telemetry, counts, &mut scratch.lanes);
     }
     x
 }
 
 /// Emits the `kernel.lowering` span and gauges describing how an integer
 /// conv stage decomposes `geom` — interior/border position split and
-/// taps per filter — attributed per worker through the caller's
-/// [`PrefixSink`](flight_telemetry::Telemetry::with_prefix)ed handle.
+/// taps per filter — through the context's handle (a server worker's is
+/// [`prefixed`](flight_telemetry::Telemetry::with_prefix) with its
+/// track).
 /// Returns the span guard bracketing the kernel run (`None` on the null
 /// sink, which keeps the hot path free of telemetry work).
 fn lowering_span(
@@ -1377,10 +1215,24 @@ fn run_layer<'a>(
             let (main_out, short_out) = match x {
                 Act::Codes(c) => {
                     scratch.retain(c.arena);
-                    let main_out = walk(main, telemetry, Act::Codes(c), counts, scratch);
+                    let main_out = walk(
+                        main,
+                        telemetry,
+                        Act::Codes(c),
+                        counts,
+                        scratch,
+                        &mut Unobserved,
+                    );
                     let main_out = main_out.into_float(scratch).into_owned();
                     let short_out = match shortcut {
-                        Some(sc) => walk(sc, telemetry, Act::Codes(c), counts, scratch),
+                        Some(sc) => walk(
+                            sc,
+                            telemetry,
+                            Act::Codes(c),
+                            counts,
+                            scratch,
+                            &mut Unobserved,
+                        ),
                         None => Act::Codes(c),
                     };
                     (main_out, short_out.into_float(scratch).into_owned())
@@ -1393,14 +1245,20 @@ fn run_layer<'a>(
                         Act::Float(Cow::Borrowed(t)),
                         counts,
                         scratch,
+                        &mut Unobserved,
                     );
                     let main_out = main_out.into_float(scratch).into_owned();
                     let short_out = match shortcut {
-                        Some(sc) => {
-                            walk(sc, telemetry, Act::Float(Cow::Borrowed(t)), counts, scratch)
-                                .into_float(scratch)
-                                .into_owned()
-                        }
+                        Some(sc) => walk(
+                            sc,
+                            telemetry,
+                            Act::Float(Cow::Borrowed(t)),
+                            counts,
+                            scratch,
+                            &mut Unobserved,
+                        )
+                        .into_float(scratch)
+                        .into_owned(),
                         None => t.clone(),
                     };
                     (main_out, short_out)

@@ -14,17 +14,19 @@
 //! * [`counts`] — operation counting shared with the ASIC energy model
 //!   (see [`OpCounts`] for the exact per-datapath conventions),
 //! * [`engine`] — whole-network integer inference: compile a trained
-//!   `QuantNet` with [`IntNetwork::compile_with`] into a multiplier-free
-//!   deployment pipeline, configured by a [`CompileOptions`] builder
-//!   (batch-norm folding, telemetry, sequential vs parallel
-//!   [`ExecutionPolicy`]). The batched parallel executor splits a batch
-//!   across crossbeam scoped threads with per-worker scratch arenas and
-//!   produces logits bit-identical to the sequential path, because
-//!   activations are quantized with one scale per image.
+//!   `QuantNet` with [`CompiledNet::compile`] into a multiplier-free
+//!   deployment pipeline (optionally folding batch norms) and run it
+//!   with [`CompiledNet::forward`] through a per-caller [`ExecCtx`]
+//!   (scratch arenas, kernel path, telemetry). A `CompiledNet` is
+//!   `Send + Sync`: concurrent callers share one behind an `Arc`, each
+//!   with its own context, and every forward walks the stages in one
+//!   observed loop (untraced, traced, or profiled). Activations are
+//!   quantized with one scale per image, so an image's logits do not
+//!   depend on its batchmates.
 //!
 //! Both integer datapaths run **lowered tap programs** over a pad-once
 //! layout: each conv stage fills a zero-padded plane `[c, h + 2p, w + 2p]`
-//! per image (held in the engine's per-worker scratch), and each kernel
+//! per image (held in the engine's per-context scratch), and each kernel
 //! is compiled once per layer geometry into flat `u32` offsets into that
 //! plane (the `lower` module). The shift path groups each filter's taps
 //! by shift amount: a small `[shift, start, pos_end, neg_end]` table per
@@ -46,7 +48,6 @@
 
 pub mod counts;
 pub mod engine;
-mod exec;
 pub mod fixed;
 mod lower;
 pub mod qact;
@@ -54,7 +55,7 @@ pub mod shift;
 pub mod simd;
 
 pub use counts::OpCounts;
-pub use engine::{CompileOptions, CompiledNet, ExecCtx, ExecutionPolicy, IntNetwork};
+pub use engine::{CompiledNet, ExecCtx};
 pub use fixed::{fixed_point_conv, fixed_point_conv_reference, fixed_point_conv_with_path};
 pub use qact::QuantActivations;
 pub use shift::{

@@ -230,7 +230,7 @@ impl LaneCtx {
     }
 
     /// A context pinned to `path` (tests, benches, and the engine's
-    /// `force_scalar` compile option).
+    /// `ExecCtx::set_kernel_path`).
     pub fn with_path(path: KernelPath) -> Self {
         LaneCtx {
             path,

@@ -2,7 +2,7 @@
 //! float quantized network on real trained models, multiplier-free.
 
 use flight_data::{Fidelity, SyntheticDataset};
-use flight_kernels::{CompileOptions, CompiledNet, IntNetwork};
+use flight_kernels::{CompiledNet, ExecCtx, KernelPath};
 use flight_nn::Layer;
 use flight_tensor::TensorRng;
 use flightnn::configs::NetworkConfig;
@@ -26,6 +26,15 @@ fn as_8bit(x: &flight_tensor::Tensor) -> flight_tensor::Tensor {
     flight_kernels::QuantActivations::quantize(x, 8).dequantize()
 }
 
+/// Compiles `net` unfolded and runs one forward on a fresh context.
+fn run(
+    net: &mut QuantNet,
+    x: &flight_tensor::Tensor,
+) -> (flight_tensor::Tensor, flight_kernels::OpCounts) {
+    let engine = CompiledNet::compile(net, false).expect("compiles");
+    engine.forward(x, &mut ExecCtx::new())
+}
+
 fn max_logit_gap(a: &flight_tensor::Tensor, b: &flight_tensor::Tensor) -> f32 {
     a.as_slice()
         .iter()
@@ -36,10 +45,9 @@ fn max_logit_gap(a: &flight_tensor::Tensor, b: &flight_tensor::Tensor) -> f32 {
 #[test]
 fn vgg_lightnn_pipeline_matches_float_path() {
     let (mut net, data) = trained(1, &QuantScheme::l2(), 2);
-    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
     let input = as_8bit(&data.test_batches(8)[0].input);
     let float_logits = net.forward(&input, false);
-    let (int_logits, counts) = engine.forward(&input);
+    let (int_logits, counts) = run(&mut net, &input);
 
     let gap = max_logit_gap(&float_logits, &int_logits);
     let scale = float_logits.abs_max().max(1.0);
@@ -60,10 +68,9 @@ fn vgg_lightnn_pipeline_matches_float_path() {
 #[test]
 fn resnet_flightnn_pipeline_matches_float_path() {
     let (mut net, data) = trained(2, &QuantScheme::flight(0.0), 2);
-    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
     let input = as_8bit(&data.test_batches(4)[0].input);
     let float_logits = net.forward(&input, false);
-    let (int_logits, counts) = engine.forward(&input);
+    let (int_logits, counts) = run(&mut net, &input);
     let gap = max_logit_gap(&float_logits, &int_logits);
     let scale = float_logits.abs_max().max(1.0);
     // Residual adds compound the per-stage activation re-quantization
@@ -75,10 +82,9 @@ fn resnet_flightnn_pipeline_matches_float_path() {
 #[test]
 fn fixed_point_pipeline_multiplies_instead_of_shifting() {
     let (mut net, data) = trained(1, &QuantScheme::fp4w8a(), 2);
-    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
     let input = as_8bit(&data.test_batches(4)[0].input);
     let float_logits = net.forward(&input, false);
-    let (int_logits, counts) = engine.forward(&input);
+    let (int_logits, counts) = run(&mut net, &input);
     let gap = max_logit_gap(&float_logits, &int_logits);
     let scale = float_logits.abs_max().max(1.0);
     // 4-bit weights leave less headroom than the L-2 scheme, so the
@@ -93,12 +99,12 @@ fn fixed_point_pipeline_multiplies_instead_of_shifting() {
 #[test]
 fn folded_pipeline_matches_unfolded_within_1e_5() {
     let (mut net, data) = trained(1, &QuantScheme::l1(), 2);
-    let plain = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
-    let folded = IntNetwork::compile_with(&mut net, CompileOptions::new().fold_batch_norm(true))
-        .expect("compiles folded");
+    let plain = CompiledNet::compile(&mut net, false).expect("compiles");
+    let folded = CompiledNet::compile(&mut net, true).expect("compiles folded");
     let batch = &data.test_batches(4)[0];
-    let (a, _) = plain.forward(&batch.input);
-    let (b, _) = folded.forward(&batch.input);
+    let mut ctx = ExecCtx::new();
+    let (a, _) = plain.forward(&batch.input, &mut ctx);
+    let (b, _) = folded.forward(&batch.input, &mut ctx);
     assert!(
         a.allclose(&b, 1e-5),
         "batch-norm folding moved the results by more than 1e-5"
@@ -127,13 +133,14 @@ fn network1_compiles_to_twelve_fused_stages() {
 fn integer_accuracy_matches_float_accuracy() {
     use flight_nn::loss::top_k_accuracy;
     let (mut net, data) = trained(1, &QuantScheme::l2(), 6);
-    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
+    let engine = CompiledNet::compile(&mut net, false).expect("compiles");
+    let mut ctx = ExecCtx::new();
     let mut float_correct = 0.0;
     let mut int_correct = 0.0;
     let mut n = 0;
     for batch in data.test_batches(16) {
         let fl = net.forward(&batch.input, false);
-        let (il, _) = engine.forward(&batch.input);
+        let (il, _) = engine.forward(&batch.input, &mut ctx);
         float_correct += top_k_accuracy(&fl, &batch.labels, 1) * batch.len() as f32;
         int_correct += top_k_accuracy(&il, &batch.labels, 1) * batch.len() as f32;
         n += batch.len();
@@ -152,11 +159,9 @@ fn op_counts_track_mean_k() {
     // architecture on the same input.
     let (mut l1, data) = trained(1, &QuantScheme::l1(), 1);
     let (mut l2, _) = trained(1, &QuantScheme::l2(), 1);
-    let e1 = IntNetwork::compile_with(&mut l1, CompileOptions::new()).expect("compiles");
-    let e2 = IntNetwork::compile_with(&mut l2, CompileOptions::new()).expect("compiles");
     let batch = &data.test_batches(2)[0];
-    let (_, c1) = e1.forward(&batch.input);
-    let (_, c2) = e2.forward(&batch.input);
+    let (_, c1) = run(&mut l1, &batch.input);
+    let (_, c2) = run(&mut l2, &batch.input);
     let ratio = c2.shifts as f64 / c1.shifts as f64;
     assert!(
         (1.5..2.4).contains(&ratio),
@@ -172,19 +177,13 @@ fn traced_forward_matches_untraced_and_emits_stage_events() {
     use std::sync::Arc;
 
     let (mut net, data) = trained(1, &QuantScheme::l1(), 1);
-    // Sequential policy: per-stage spans only exist on the sequential
-    // traced path (the parallel path reports per-worker spans instead).
-    let engine = IntNetwork::compile_with(
-        &mut net,
-        CompileOptions::new().fold_batch_norm(true).sequential(),
-    )
-    .expect("compiles");
+    let engine = CompiledNet::compile(&mut net, true).expect("compiles");
     let input = as_8bit(&data.test_batches(2)[0].input);
-    let (plain_logits, plain_counts) = engine.forward(&input);
+    let (plain_logits, plain_counts) = engine.forward(&input, &mut ExecCtx::new());
 
     let sink = Arc::new(CollectingSink::new());
-    let engine = engine.with_telemetry(Telemetry::new(sink.clone()));
-    let (traced_logits, traced_counts) = engine.forward(&input);
+    let mut ctx = ExecCtx::with_telemetry(Telemetry::new(sink.clone()));
+    let (traced_logits, traced_counts) = engine.forward(&input, &mut ctx);
 
     assert!(
         plain_logits.allclose(&traced_logits, 0.0),
@@ -222,16 +221,13 @@ fn quantization_saturation_counters_track_every_quantization_site() {
 
     let (mut net, data) = trained(1, &QuantScheme::l1(), 1);
     let sink = Arc::new(CollectingSink::new());
-    let engine = IntNetwork::compile_with(
-        &mut net,
-        CompileOptions::new()
-            .telemetry(Telemetry::new(sink.clone()))
-            .sequential(),
-    )
-    .expect("compiles");
+    let engine = CompiledNet::compile(&mut net, false).expect("compiles");
     let batch = 3;
     let input = as_8bit(&data.test_batches(batch)[0].input);
-    engine.forward(&input);
+    engine.forward(
+        &input,
+        &mut ExecCtx::with_telemetry(Telemetry::new(sink.clone())),
+    );
 
     let events = sink.events();
     let total = |suffix: &str| -> u64 {
@@ -276,69 +272,11 @@ fn quantization_saturation_counters_track_every_quantization_site() {
 }
 
 #[test]
-fn parallel_workers_emit_per_image_latency_histograms() {
-    use flight_telemetry::{CollectingSink, EventKind, Log2Histogram, Telemetry};
-    use std::sync::Arc;
-
-    let (mut net, data) = trained(1, &QuantScheme::l1(), 1);
-    let sink = Arc::new(CollectingSink::new());
-    let workers = 2;
-    let engine = IntNetwork::compile_with(
-        &mut net,
-        CompileOptions::new()
-            .fold_batch_norm(true)
-            .telemetry(Telemetry::new(sink.clone()))
-            .threads(workers),
-    )
-    .expect("compiles");
-    let batch = 6;
-    let input = as_8bit(&data.test_batches(batch)[0].input);
-
-    // Tracing image-by-image must not change results vs the untraced
-    // whole-chunk walk.
-    let untraced = engine.clone().with_telemetry(Telemetry::null());
-    let (plain_logits, plain_counts) = untraced.forward(&input);
-    let (traced_logits, traced_counts) = engine.forward(&input);
-    assert!(
-        plain_logits.allclose(&traced_logits, 0.0),
-        "per-image tracing changed the logits"
-    );
-    assert_eq!(plain_counts, traced_counts);
-
-    let events = sink.events();
-    for w in 0..workers {
-        for which in ["e2e", "compute", "queue_wait"] {
-            let name = format!("kernel.worker.{w:02}.chunk.latency.{which}");
-            let event = events
-                .iter()
-                .find(|e| e.kind == EventKind::Log2Hist && e.name == name)
-                .unwrap_or_else(|| panic!("missing histogram {name}"));
-            // Each worker got batch/workers images; every one recorded.
-            assert_eq!(event.value, (batch / workers) as f64, "{name}");
-            let hist = Log2Histogram::from_bucket_pairs(&event.buckets, 0.0, f64::MAX)
-                .expect("bucket labels round-trip");
-            assert_eq!(hist.total(), (batch / workers) as u64);
-        }
-    }
-    // Physical ordering per worker: queue_wait <= e2e and compute <= e2e
-    // on maxima (e2e spans dispatch to completion).
-    let stats = |name: &str, key: &str| -> f64 {
-        let e = events.iter().find(|e| e.name == name).unwrap();
-        let v = flight_telemetry::json::JsonValue::parse(e.text.as_deref().unwrap()).unwrap();
-        v.get(key).and_then(|x| x.as_f64()).unwrap()
-    };
-    let e2e_max = stats("kernel.worker.00.chunk.latency.e2e", "max");
-    assert!(stats("kernel.worker.00.chunk.latency.compute", "max") <= e2e_max);
-    assert!(stats("kernel.worker.00.chunk.latency.queue_wait", "min") <= e2e_max);
-}
-
-#[test]
 fn full_precision_network_still_compiles() {
     let (mut net, data) = trained(1, &QuantScheme::full(), 1);
-    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
     let input = as_8bit(&data.test_batches(2)[0].input);
     let float_logits = net.forward(&input, false);
-    let (logits, counts) = engine.forward(&input);
+    let (logits, counts) = run(&mut net, &input);
     let gap = max_logit_gap(&float_logits, &logits);
     let scale = float_logits.abs_max().max(1.0);
     assert!(gap < 1e-2 * scale, "gap {gap} at scale {scale}");
@@ -349,11 +287,10 @@ fn full_precision_network_still_compiles() {
 #[test]
 fn profiled_forward_is_bit_identical_and_attributes_every_stage() {
     let (mut net, data) = trained(1, &QuantScheme::l2(), 1);
-    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
-    let compiled = engine.compiled();
+    let compiled = CompiledNet::compile(&mut net, false).expect("compiles");
     let input = as_8bit(&data.test_batches(4)[0].input);
 
-    let mut ctx = flight_kernels::ExecCtx::new();
+    let mut ctx = ExecCtx::new();
     let (plain_logits, plain_counts) = compiled.forward(&input, &mut ctx);
 
     let mut sample = flight_telemetry::StageSample::new();
@@ -385,25 +322,20 @@ fn profiled_forward_is_bit_identical_and_attributes_every_stage() {
 
 /// Network 1 (untrained — the engaged path does not depend on weights)
 /// plus a batch of `n` images.
-fn network1_batch(
-    n: usize,
-) -> (
-    std::sync::Arc<flight_kernels::CompiledNet>,
-    flight_tensor::Tensor,
-) {
+fn network1_batch(n: usize) -> (CompiledNet, flight_tensor::Tensor) {
     let mut rng = TensorRng::seed(31);
     let mut net =
         NetworkConfig::by_id(1).build(&QuantScheme::l1(), &mut rng, 10, [3, 16, 16], 0.25);
-    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
+    let engine = CompiledNet::compile(&mut net, false).expect("compiles");
     let x = flight_tensor::uniform(&mut rng, &[n, 3, 16, 16], -1.0, 1.0);
-    (engine.compiled(), x)
+    (engine, x)
 }
 
 /// The `(lane, scalar)` image split of every conv/linear stage of one
 /// profiled forward on `path`, plus the sample's path tag.
-fn engaged(n: usize, path: flight_kernels::KernelPath) -> (Vec<(u64, u64)>, &'static str) {
+fn engaged(n: usize, path: KernelPath) -> (Vec<(u64, u64)>, &'static str) {
     let (net, x) = network1_batch(n);
-    let mut ctx = flight_kernels::ExecCtx::new();
+    let mut ctx = ExecCtx::new();
     ctx.set_kernel_path(path);
     let mut sample = flight_telemetry::StageSample::new();
     let _ = net.forward_profiled(&x, &mut ctx, &mut sample);
@@ -416,7 +348,6 @@ fn engaged(n: usize, path: flight_kernels::KernelPath) -> (Vec<(u64, u64)>, &'st
 
 #[test]
 fn profiled_stages_report_the_engaged_lane_and_scalar_images() {
-    use flight_kernels::KernelPath;
     // Portable lanes are available on every host, so the ground truth
     // holds under FLIGHT_FORCE_SCALAR too (the context pins the path).
     for (n, lane, scalar, tag) in [
@@ -440,6 +371,40 @@ fn profiled_stages_report_the_engaged_lane_and_scalar_images() {
     }
 }
 
+/// The `kernel.dispatch.<path>` gauges one traced forward of `n`
+/// images on `path` emits.
+fn traced_dispatch(n: usize, path: KernelPath) -> Vec<String> {
+    use flight_telemetry::{CollectingSink, EventKind, Telemetry};
+    let (net, x) = network1_batch(n);
+    let sink = std::sync::Arc::new(CollectingSink::new());
+    let mut ctx = ExecCtx::with_telemetry(Telemetry::new(sink.clone()));
+    ctx.set_kernel_path(path);
+    let _ = net.forward(&x, &mut ctx);
+    sink.events()
+        .into_iter()
+        .filter(|e| e.kind == EventKind::Gauge && e.name.starts_with("kernel.dispatch."))
+        .map(|e| e.name)
+        .collect()
+}
+
+#[test]
+fn traced_forward_reports_the_path_that_ran() {
+    // One image fills no lane block, so every conv runs the scalar loop
+    // whatever the context requests; a full block runs the lanes.
+    for path in [KernelPath::Portable, flight_kernels::active_path()] {
+        assert_eq!(
+            traced_dispatch(1, path),
+            ["kernel.dispatch.scalar"],
+            "{path}"
+        );
+        assert_eq!(
+            traced_dispatch(8, path),
+            [format!("kernel.dispatch.{}", path.name())],
+            "{path}"
+        );
+    }
+}
+
 #[test]
 fn non_finite_images_poison_only_their_own_logits() {
     let (net, x) = network1_batch(3);
@@ -447,7 +412,7 @@ fn non_finite_images_poison_only_their_own_logits() {
     let img = data.len() / 3;
     data[img + 5] = f32::INFINITY;
     let poisoned = flight_tensor::Tensor::from_vec(data, x.dims());
-    let mut ctx = flight_kernels::ExecCtx::new();
+    let mut ctx = ExecCtx::new();
     let (clean, _) = net.forward(&x, &mut ctx);
     let (out, _) = net.forward(&poisoned, &mut ctx);
     let classes = out.len() / 3;

@@ -18,9 +18,7 @@ use flight_kernels::shift::{
     shift_add_conv, shift_add_conv_reference, shift_add_conv_with_path, ShiftCompileError,
     ShiftKernel,
 };
-use flight_kernels::{
-    active_path, CompileOptions, IntNetwork, KernelPath, OpCounts, QuantActivations,
-};
+use flight_kernels::{active_path, CompiledNet, ExecCtx, KernelPath, OpCounts, QuantActivations};
 use flight_telemetry::{CollectingSink, EventKind, Telemetry};
 use flight_tensor::{uniform, Conv2dGeometry, Tensor, TensorRng};
 use flightnn::convert::{shift_plan, FilterPlan, ShiftPlan, SubFilter};
@@ -290,16 +288,13 @@ fn tiny_net(seed: u64) -> QuantNet {
 #[test]
 fn sequential_trace_emits_kernel_lowering_events() {
     let sink = Arc::new(CollectingSink::new());
-    let engine = IntNetwork::compile_with(
-        &mut tiny_net(11),
-        CompileOptions::new()
-            .telemetry(Telemetry::new(sink.clone()))
-            .sequential(),
-    )
-    .expect("compiles");
+    let engine = CompiledNet::compile(&mut tiny_net(11), false).expect("compiles");
     let mut rng = TensorRng::seed(12);
     let x = uniform(&mut rng, &[2, 3, 6, 6], -1.0, 1.0);
-    let _ = engine.forward(&x);
+    let _ = engine.forward(
+        &x,
+        &mut ExecCtx::with_telemetry(Telemetry::new(sink.clone())),
+    );
 
     let events = sink.events();
     let spans = events
@@ -327,18 +322,17 @@ fn sequential_trace_emits_kernel_lowering_events() {
 }
 
 #[test]
-fn parallel_workers_attribute_lowering_events_through_prefix_sink() {
+fn prefixed_contexts_attribute_lowering_events_to_their_track() {
+    // A server worker's context emits through a `kernel.worker.<ww>.`
+    // prefixed handle; the lowering events must land on that track.
     let sink = Arc::new(CollectingSink::new());
-    let engine = IntNetwork::compile_with(
-        &mut tiny_net(13),
-        CompileOptions::new()
-            .telemetry(Telemetry::new(sink.clone()))
-            .threads(2),
-    )
-    .expect("compiles");
+    let engine = CompiledNet::compile(&mut tiny_net(13), false).expect("compiles");
     let mut rng = TensorRng::seed(14);
     let x = uniform(&mut rng, &[4, 3, 6, 6], -1.0, 1.0);
-    let _ = engine.forward(&x);
+    for worker in ["kernel.worker.00.", "kernel.worker.01."] {
+        let telemetry = Telemetry::new(sink.clone()).with_prefix(worker);
+        let _ = engine.forward(&x, &mut ExecCtx::with_telemetry(telemetry));
+    }
 
     let events = sink.events();
     for worker in ["kernel.worker.00.", "kernel.worker.01."] {
@@ -358,66 +352,31 @@ fn parallel_workers_attribute_lowering_events_through_prefix_sink() {
 }
 
 #[test]
-fn force_scalar_compile_option_matches_the_detected_path_bitwise() {
-    let fast = IntNetwork::compile_with(&mut tiny_net(21), CompileOptions::new().sequential())
-        .expect("compiles");
-    let pinned = IntNetwork::compile_with(
-        &mut tiny_net(21),
-        CompileOptions::new().sequential().force_scalar(true),
-    )
-    .expect("compiles");
+fn forced_scalar_context_matches_the_detected_path_bitwise() {
+    let engine = CompiledNet::compile(&mut tiny_net(21), false).expect("compiles");
+    let mut pinned = ExecCtx::new();
+    pinned.set_kernel_path(KernelPath::Scalar);
     assert_eq!(pinned.kernel_path(), KernelPath::Scalar);
 
     // 9 images: one full lane block plus a remnant image.
     let mut rng = TensorRng::seed(22);
     let x = uniform(&mut rng, &[9, 3, 6, 6], -1.0, 1.0);
-    let (a, ca) = fast.forward(&x);
-    let (b, cb) = pinned.forward(&x);
+    let (a, ca) = engine.forward(&x, &mut ExecCtx::new());
+    let (b, cb) = engine.forward(&x, &mut pinned);
     assert_eq!(a.as_slice(), b.as_slice(), "forced scalar diverges");
     assert_eq!(ca, cb, "op counts are dispatch-invariant");
-}
-
-#[test]
-fn traces_record_the_kernel_dispatch_path() {
-    let sink = Arc::new(CollectingSink::new());
-    let engine = IntNetwork::compile_with(
-        &mut tiny_net(23),
-        CompileOptions::new()
-            .telemetry(Telemetry::new(sink.clone()))
-            .sequential(),
-    )
-    .expect("compiles");
-    let mut rng = TensorRng::seed(24);
-    let x = uniform(&mut rng, &[2, 3, 6, 6], -1.0, 1.0);
-    let _ = engine.forward(&x);
-
-    let expected = format!("kernel.dispatch.{}", engine.kernel_path().name());
-    let events = sink.events();
-    assert!(
-        events
-            .iter()
-            .any(|e| e.kind == EventKind::Gauge && e.name == expected && e.value == 1.0),
-        "forward must gauge its dispatch path as {expected}"
-    );
 }
 
 #[test]
 fn null_sink_emits_nothing_but_computes_the_same() {
     // The lowered cores must not depend on telemetry being live.
     let traced_sink = Arc::new(CollectingSink::new());
-    let traced = IntNetwork::compile_with(
-        &mut tiny_net(15),
-        CompileOptions::new()
-            .telemetry(Telemetry::new(traced_sink))
-            .sequential(),
-    )
-    .expect("compiles");
-    let silent = IntNetwork::compile_with(&mut tiny_net(15), CompileOptions::new().sequential())
-        .expect("compiles");
+    let engine = CompiledNet::compile(&mut tiny_net(15), false).expect("compiles");
     let mut rng = TensorRng::seed(16);
     let x = uniform(&mut rng, &[3, 3, 6, 6], -1.0, 1.0);
-    let (a, ca): (Tensor, OpCounts) = traced.forward(&x);
-    let (b, cb) = silent.forward(&x);
+    let mut traced = ExecCtx::with_telemetry(Telemetry::new(traced_sink));
+    let (a, ca): (Tensor, OpCounts) = engine.forward(&x, &mut traced);
+    let (b, cb) = engine.forward(&x, &mut ExecCtx::new());
     assert_eq!(a.as_slice(), b.as_slice());
     assert_eq!(ca, cb);
 }
@@ -477,17 +436,14 @@ fn activation_counters_count_real_codes_never_padding() {
     // Two padded conv stages on 6×6 planes: each quantizes 3·6·6 (then
     // 4·6·6) real codes per image into an 8·8 padded plane per channel.
     let sink = Arc::new(CollectingSink::new());
-    let engine = IntNetwork::compile_with(
-        &mut tiny_net(51),
-        CompileOptions::new()
-            .telemetry(Telemetry::new(sink.clone()))
-            .sequential(),
-    )
-    .expect("compiles");
+    let engine = CompiledNet::compile(&mut tiny_net(51), false).expect("compiles");
     let n = 9;
     let mut rng = TensorRng::seed(52);
     let x = uniform(&mut rng, &[n, 3, 6, 6], -1.0, 1.0);
-    let _ = engine.forward(&x);
+    let _ = engine.forward(
+        &x,
+        &mut ExecCtx::with_telemetry(Telemetry::new(sink.clone())),
+    );
 
     let total = |name: &str| -> f64 {
         sink.events()
@@ -513,9 +469,8 @@ fn activation_counters_count_real_codes_never_padding() {
         1,
         1,
     ));
-    let head =
-        IntNetwork::compile_with(&mut first, CompileOptions::new().sequential()).expect("compiles");
-    let (y1, _) = head.forward(&x);
+    let head = CompiledNet::compile(&mut first, false).expect("compiles");
+    let (y1, _) = head.forward(&x, &mut ExecCtx::new());
     let rail = |t: &Tensor| {
         let (mut codes, mut scales) = (Vec::new(), Vec::new());
         QuantActivations::quantize_per_image_into(t, 8, &mut codes, &mut scales);

@@ -1,18 +1,21 @@
-//! Parallel/sequential parity suite for the batched execution engine.
+//! Parity suite for the execution engine.
 //!
-//! The engine quantizes activations with one scale per image, so the
-//! parallel path must be **bit-identical** to the sequential path — same
-//! logits, same [`OpCounts`] — for every batch size and every compiled
-//! datapath (shift-add, fixed-point, float fallback), folded or not.
-//! These tests use small hand-built untrained networks: parity is a
-//! property of the execution engine, not of the weights, and untrained
-//! nets keep the debug-mode test run fast.
+//! Every forward walks the compiled stages in one loop under an
+//! observer (none, tracing, or profiling), and the engine quantizes
+//! activations with one scale per image. So the observers must be
+//! **bit-identical** — same logits, same `OpCounts` — for every batch
+//! size and every compiled datapath (shift-add, fixed-point, float
+//! fallback), folded or not; an image's logits must not depend on its
+//! batchmates; and concurrent contexts over one shared [`CompiledNet`]
+//! must agree. These tests use small hand-built untrained networks:
+//! parity is a property of the execution engine, not of the weights,
+//! and untrained nets keep the debug-mode test run fast.
 
 use std::sync::Arc;
 
-use flight_kernels::{CompileOptions, CompiledNet, ExecCtx, ExecutionPolicy, IntNetwork, OpCounts};
+use flight_kernels::{CompiledNet, ExecCtx};
 use flight_nn::layers::{BatchNorm2d, Flatten, GlobalAvgPool, LeakyRelu, MaxPool2d};
-use flight_telemetry::{CollectingSink, EventKind, Telemetry};
+use flight_telemetry::{CollectingSink, StageSample, Telemetry};
 use flight_tensor::{uniform, Tensor, TensorRng};
 use flightnn::layers::{ActQuant, QuantConv2d, QuantLinear};
 use flightnn::net::QuantResidualBlock;
@@ -55,6 +58,10 @@ fn residual_net(scheme: &QuantScheme, seed: u64) -> QuantNet {
     net
 }
 
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 fn input_batch(n: usize, seed: u64) -> Tensor {
     let mut rng = TensorRng::seed(seed);
     uniform(
@@ -65,155 +72,29 @@ fn input_batch(n: usize, seed: u64) -> Tensor {
     )
 }
 
-/// Compiles once, then checks parallel vs sequential bit-exactness at
-/// every batch size in `1..=max_batch`.
-fn assert_parity(net: &mut QuantNet, fold: bool, label: &str) {
-    let engine = IntNetwork::compile_with(net, CompileOptions::new().fold_batch_norm(fold))
-        .expect("test network compiles");
-    let seq = engine.clone().with_policy(ExecutionPolicy::Sequential);
-    let par = engine.with_policy(ExecutionPolicy::Parallel { threads: 4 });
-    for n in 1..=33usize {
-        let x = input_batch(n, 100 + n as u64);
-        let (a, ca) = seq.forward(&x);
-        let (b, cb) = par.forward(&x);
-        assert_eq!(a.dims(), b.dims(), "{label}: dims diverge at batch {n}");
-        assert_eq!(
-            a.as_slice(),
-            b.as_slice(),
-            "{label}: logits diverge at batch {n}"
-        );
-        assert_eq!(ca, cb, "{label}: op counts diverge at batch {n}");
-    }
-}
-
-#[test]
-fn shift_l1_net_parallel_matches_sequential() {
-    assert_parity(&mut conv_net(&QuantScheme::l1(), 1), false, "l1");
-}
-
-#[test]
-fn shift_l2_net_folded_parallel_matches_sequential() {
-    assert_parity(&mut conv_net(&QuantScheme::l2(), 2), true, "l2-folded");
-}
-
-#[test]
-fn fixed_point_net_parallel_matches_sequential() {
-    assert_parity(&mut conv_net(&QuantScheme::fp4w8a(), 3), false, "fp4w8a");
-}
-
-#[test]
-fn full_precision_net_parallel_matches_sequential() {
-    assert_parity(&mut conv_net(&QuantScheme::full(), 4), true, "full-folded");
-}
-
-#[test]
-fn residual_net_parallel_matches_sequential() {
-    assert_parity(
-        &mut residual_net(&QuantScheme::flight(1e-5), 5),
-        false,
-        "residual",
-    );
-    assert_parity(
-        &mut residual_net(&QuantScheme::l1(), 6),
-        true,
-        "residual-folded",
-    );
-}
-
 #[test]
 fn logits_are_invariant_under_batch_composition() {
     // Per-image activation scales make an image's logits independent of
     // its batchmates: forwarding a batch equals forwarding each image
-    // alone. (This is the invariant the parallel split relies on.)
+    // alone. (This is the invariant dynamic batching relies on.)
     let mut net = conv_net(&QuantScheme::l2(), 7);
-    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
+    let engine = CompiledNet::compile(&mut net, false).expect("compiles");
+    let mut ctx = ExecCtx::new();
     let x = input_batch(5, 77);
-    let (batched, _) = engine.forward(&x);
+    let (batched, _) = engine.forward(&x, &mut ctx);
     let classes = batched.dims()[1];
     for i in 0..5 {
         let img = Tensor::from_vec(
             x.outer(i).to_vec(),
             &[1, IMG_DIMS[0], IMG_DIMS[1], IMG_DIMS[2]],
         );
-        let (solo, _) = engine.forward(&img);
+        let (solo, _) = engine.forward(&img, &mut ctx);
         assert_eq!(
             solo.as_slice(),
             &batched.as_slice()[i * classes..(i + 1) * classes],
             "image {i} depends on its batchmates"
         );
     }
-}
-
-#[test]
-fn forward_into_reuses_or_replaces_the_buffer() {
-    let mut net = conv_net(&QuantScheme::l1(), 8);
-    let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
-    let x = input_batch(3, 88);
-    let (expected, expected_counts) = engine.forward(&x);
-
-    // Right shape: the allocation is reused in place.
-    let mut out = Tensor::zeros(expected.dims());
-    let counts = engine.forward_into(&x, &mut out);
-    assert_eq!(out.as_slice(), expected.as_slice());
-    assert_eq!(counts, expected_counts);
-
-    // Wrong shape: the buffer is replaced with the fresh logits.
-    let mut wrong = Tensor::zeros(&[1]);
-    engine.forward_into(&x, &mut wrong);
-    assert_eq!(wrong.dims(), expected.dims());
-    assert_eq!(wrong.as_slice(), expected.as_slice());
-}
-
-#[test]
-fn parallel_forward_reports_workers_and_chunks() {
-    let mut net = conv_net(&QuantScheme::l1(), 9);
-    let sink = Arc::new(CollectingSink::new());
-    let engine = IntNetwork::compile_with(
-        &mut net,
-        CompileOptions::new()
-            .telemetry(Telemetry::new(sink.clone()))
-            .threads(3),
-    )
-    .expect("compiles");
-    let x = input_batch(5, 99);
-    let (_, counts) = engine.forward(&x);
-
-    let events = sink.events();
-    let workers = events
-        .iter()
-        .find(|e| e.kind == EventKind::Gauge && e.name == "kernel.forward.workers")
-        .expect("worker-count gauge emitted");
-    assert_eq!(workers.value, 3.0, "batch 5 on 3 threads engages 3 workers");
-    assert!(
-        events
-            .iter()
-            .any(|e| e.kind == EventKind::SpanEnd && e.name == "kernel.forward"),
-        "whole-pass span present"
-    );
-    let chunk_spans = events
-        .iter()
-        .filter(|e| {
-            e.kind == EventKind::SpanEnd
-                && e.name.starts_with("kernel.worker.")
-                && e.name.ends_with(".chunk")
-        })
-        .count();
-    assert_eq!(chunk_spans, 3, "one chunk span per worker");
-    let images: f64 = events
-        .iter()
-        .filter(|e| e.kind == EventKind::Gauge && e.name.ends_with(".chunk.images"))
-        .map(|e| e.value)
-        .sum();
-    assert_eq!(images, 5.0, "chunks cover the whole batch");
-    let worker_shifts: u64 = events
-        .iter()
-        .filter(|e| e.kind == EventKind::Counter && e.name.ends_with(".chunk.shifts"))
-        .map(|e| e.value as u64)
-        .sum();
-    assert_eq!(
-        worker_shifts, counts.shifts,
-        "per-worker shift counters must sum to the aggregate"
-    );
 }
 
 #[test]
@@ -232,8 +113,8 @@ fn residual_slope_is_plumbed_through_compilation() {
         let mut main = QuantNet::new();
         main.push_conv(QuantConv2d::new(&mut rng, &scheme, 4, 4, 3, 1, 1));
         net.push_residual(QuantResidualBlock::from_parts_with_slope(main, None, slope));
-        let engine = IntNetwork::compile_with(&mut net, CompileOptions::new()).expect("compiles");
-        engine.forward(&x).0
+        let engine = CompiledNet::compile(&mut net, false).expect("compiles");
+        engine.forward(&x, &mut ExecCtx::new()).0
     };
 
     let steep = run(0.5);
@@ -245,41 +126,16 @@ fn residual_slope_is_plumbed_through_compilation() {
 }
 
 #[test]
-fn compiled_net_matches_int_network_and_both_compile_paths_agree() {
-    let x = input_batch(3, 55);
-
-    // CompiledNet::compile + ExecCtx forward equals the IntNetwork
-    // facade, folded and unfolded.
-    for (fold, seed) in [(false, 11u64), (true, 12u64)] {
-        let facade = IntNetwork::compile_with(
-            &mut conv_net(&QuantScheme::l2(), seed),
-            CompileOptions::new().fold_batch_norm(fold).sequential(),
-        )
-        .expect("compiles");
-        let bare =
-            CompiledNet::compile(&mut conv_net(&QuantScheme::l2(), seed), fold).expect("compiles");
-        assert_eq!(bare.stages(), facade.stages());
-        let mut ctx = ExecCtx::new();
-        let (bl, bc) = bare.forward(&x, &mut ctx);
-        let (fl, fc) = facade.forward(&x);
-        assert_eq!(bl.as_slice(), fl.as_slice(), "fold={fold}: logits diverge");
-        assert_eq!(bc, fc, "fold={fold}: counts diverge");
-    }
-}
-
-#[test]
 fn shared_compiled_net_serves_concurrent_contexts() {
     // The request-first split: one Arc<CompiledNet>, N threads each with
     // a private ExecCtx, all producing the reference logits bit-exactly.
     // A reused warm context must behave like a fresh one.
     let mut net = conv_net(&QuantScheme::l1(), 13);
-    let engine =
-        IntNetwork::compile_with(&mut net, CompileOptions::new().sequential()).expect("compiles");
-    let shared = engine.compiled();
+    let shared = Arc::new(CompiledNet::compile(&mut net, false).expect("compiles"));
     let inputs: Vec<Tensor> = (0..6).map(|i| input_batch(2, 300 + i)).collect();
     let expected: Vec<Vec<f32>> = inputs
         .iter()
-        .map(|x| engine.forward(x).0.as_slice().to_vec())
+        .map(|x| shared.forward(x, &mut ExecCtx::new()).0.as_slice().to_vec())
         .collect();
 
     std::thread::scope(|scope| {
@@ -307,51 +163,42 @@ fn shared_compiled_net_serves_concurrent_contexts() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any `CompileOptions` combination must produce the same logits and
-    /// counts as the plain sequential/null reference with matching
-    /// folding — execution policy and telemetry are observability and
-    /// scheduling knobs, never numerics knobs.
+    /// Every observer of the one stage walk — the null observer of an
+    /// untraced forward, the tracer of a forward on a live sink, and the
+    /// profiler of `forward_profiled` — runs the same stages on the same
+    /// numbers: logits bits and op counts agree exactly, on every
+    /// datapath (shift-add, fixed point, float fallback, residual),
+    /// folded or not, at batch sizes below, at and across lane blocks.
     #[test]
-    fn random_compile_options_never_change_the_numbers(
+    fn every_stage_observer_sees_the_same_numbers(
+        which in 0usize..4,
         fold in any::<bool>(),
-        sequential in any::<bool>(),
-        threads in 0usize..6,
-        trace in any::<bool>(),
-        n in 1usize..7,
+        n in 1usize..=17,
     ) {
-        let mut reference_net = conv_net(&QuantScheme::l2(), 42);
-        let reference = IntNetwork::compile_with(
-            &mut reference_net,
-            CompileOptions::new().fold_batch_norm(fold).sequential(),
-        )
-        .expect("compiles");
-
-        let policy = if sequential {
-            ExecutionPolicy::Sequential
-        } else {
-            ExecutionPolicy::Parallel { threads }
+        let (mut net, label) = match which {
+            0 => (conv_net(&QuantScheme::l2(), 42), "l2"),
+            1 => (residual_net(&QuantScheme::l1(), 43), "residual"),
+            2 => (conv_net(&QuantScheme::fp4w8a(), 44), "fp4w8a"),
+            _ => (conv_net(&QuantScheme::full(), 45), "full"),
         };
-        let telemetry = if trace {
-            Telemetry::new(Arc::new(CollectingSink::new()))
-        } else {
-            Telemetry::null()
-        };
-        let mut net = conv_net(&QuantScheme::l2(), 42);
-        let engine = IntNetwork::compile_with(
-            &mut net,
-            CompileOptions::new()
-                .fold_batch_norm(fold)
-                .policy(policy)
-                .telemetry(telemetry),
-        )
-        .expect("compiles");
-
+        let engine = CompiledNet::compile(&mut net, fold).expect("compiles");
         let x = input_batch(n, 200 + n as u64);
-        let (a, ca): (Tensor, OpCounts) = reference.forward(&x);
-        let (b, cb) = engine.forward(&x);
-        prop_assert_eq!(a.as_slice(), b.as_slice());
-        prop_assert_eq!(ca, cb);
+
+        let (plain, plain_counts) = engine.forward(&x, &mut ExecCtx::new());
+        let sink = Arc::new(CollectingSink::new());
+        let mut traced_ctx = ExecCtx::with_telemetry(Telemetry::new(sink.clone()));
+        let (traced, traced_counts) = engine.forward(&x, &mut traced_ctx);
+        let mut sample = StageSample::new();
+        let (profiled, profiled_counts) =
+            engine.forward_profiled(&x, &mut ExecCtx::new(), &mut sample);
+
+        prop_assert!(!sink.events().is_empty(), "{} traced forward emits", label);
+        prop_assert_eq!(sample.stages(), engine.stages());
+        prop_assert_eq!(bits(&plain), bits(&traced));
+        prop_assert_eq!(bits(&plain), bits(&profiled));
+        prop_assert_eq!(plain_counts, traced_counts);
+        prop_assert_eq!(plain_counts, profiled_counts);
     }
 }

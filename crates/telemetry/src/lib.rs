@@ -35,11 +35,14 @@
 //!   ([`WindowMerge`]): a ring of epoch-stamped buckets with exact
 //!   expiry and the same bit-identical shard-merge property, so a
 //!   server can report 1 s / 10 s / 60 s QPS and percentiles from
-//!   per-worker shards.
+//!   per-worker shards. [`Sharded`] owns those shards: one lock per
+//!   writer around a lifetime value plus its window.
 //! * [`StageProf`] — an always-on sampling per-layer profiler for the
 //!   serving hot path: a fixed allocation-free [`StageSample`] scratch
 //!   per worker, deterministic 1-in-N request selection ([`sampled`]),
 //!   sharded windowed aggregation, and folded-stack flamegraph export.
+//! * [`frame`] — the length-prefixed frame codec of the serve wire
+//!   protocol, shared by the server, its clients, and `flightctl top`.
 //! * [`json`] — a minimal JSON value with render *and* parse, shared by
 //!   the JSONL sink, the bench run manifests, and the tests that validate
 //!   both.
@@ -81,6 +84,7 @@
 
 pub mod agg;
 pub mod event;
+pub mod frame;
 pub mod hist;
 pub mod json;
 pub mod jsonl;
@@ -106,4 +110,4 @@ pub use track::{
     parse_request_track, parse_worker, request_prefix, worker_prefix, REQUEST_TRACK_PREFIX,
     WORKER_TRACK_PREFIX,
 };
-pub use windowed::{WindowMerge, Windowed};
+pub use windowed::{Sharded, WindowMerge, Windowed};

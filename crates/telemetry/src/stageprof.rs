@@ -15,10 +15,11 @@
 //!
 //! # Merge semantics
 //!
-//! Each shard keeps a lifetime [`StageTallies`] plus a
-//! [`Windowed`]`<StageTallies>` ring of 60 one-second buckets. Snapshot
+//! The shards are a [`Sharded`]`<StageTallies>`: each keeps a lifetime
+//! [`StageTallies`] plus a [`Windowed`](crate::Windowed) ring of 60
+//! one-second buckets. Snapshot
 //! time merges shards bit-identically — the [`Log2Histogram`] /
-//! [`Windowed`] merge guarantees — so the merged per-layer report equals
+//! `Windowed` merge guarantees — so the merged per-layer report equals
 //! what one global recorder would have produced. Stage identity is the
 //! stage *index*; if two recordings disagree on a stage's kind (a hot
 //! swap changed the architecture mid-window) the stat is labelled
@@ -41,12 +42,10 @@
 //! friends. `flightctl export --format folded` produces the same lines
 //! from a `profile` snapshot JSON.
 
-use std::sync::Mutex;
-
 use crate::handle::trace_now_us;
 use crate::json::{JsonObject, JsonValue};
 use crate::log2hist::Log2Histogram;
-use crate::windowed::{WindowMerge, Windowed};
+use crate::windowed::{Sharded, WindowMerge};
 
 /// Upper bound on profiled pipeline stages per forward. Far above any
 /// compiled network in this repo (residual blocks count as one stage);
@@ -399,28 +398,12 @@ impl StageTallies {
     }
 }
 
-/// One shard: a lifetime accumulator plus its rolling window.
-#[derive(Debug)]
-struct StageShard {
-    lifetime: StageTallies,
-    window: Windowed<StageTallies>,
-}
-
-impl StageShard {
-    fn new() -> StageShard {
-        StageShard {
-            lifetime: StageTallies::default(),
-            window: Windowed::new(WINDOW_BUCKETS, BUCKET_MICROS),
-        }
-    }
-}
-
 /// Sharded, thread-safe stage profiler. See the module docs for the
 /// sampling policy and merge semantics.
 #[derive(Debug)]
 pub struct StageProf {
     sample_every: u32,
-    shards: Vec<Mutex<StageShard>>,
+    shards: Sharded<StageTallies>,
 }
 
 impl StageProf {
@@ -430,9 +413,7 @@ impl StageProf {
     pub fn new(shards: usize, sample_every: u32) -> StageProf {
         StageProf {
             sample_every,
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(StageShard::new()))
-                .collect(),
+            shards: Sharded::new(shards, WINDOW_BUCKETS, BUCKET_MICROS),
         }
     }
 
@@ -443,18 +424,12 @@ impl StageProf {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.shards.shards()
     }
 
     /// Whether `request_id` is sampled at this profiler's rate.
     pub fn sampled(&self, request_id: u64) -> bool {
         sampled(request_id, self.sample_every)
-    }
-
-    fn shard(&self, idx: usize) -> std::sync::MutexGuard<'_, StageShard> {
-        self.shards[idx % self.shards.len()]
-            .lock()
-            .expect("stage profile shard poisoned")
     }
 
     /// Flushes one forward's sample into shard `shard` (the compute
@@ -466,32 +441,19 @@ impl StageProf {
     /// [`record`](Self::record) with an explicit window clock, for
     /// deterministic tests.
     pub fn record_at(&self, shard: usize, sample: &StageSample, now_us: u64) {
-        let mut shard = self.shard(shard);
-        shard.lifetime.record(sample);
-        shard.window.bucket_at(now_us).record(sample);
+        self.shards.record_at(shard, now_us, |t| t.record(sample));
     }
 
     /// The lifetime tallies, merged across shards — bit-identical to
     /// what one global recorder would hold.
     pub fn merged(&self) -> StageTallies {
-        let mut merged = StageTallies::default();
-        for shard in &self.shards {
-            merged.merge_from(&shard.lock().expect("stage profile shard poisoned").lifetime);
-        }
-        merged
+        self.shards.merged()
     }
 
     /// The last-`window_buckets`-seconds tallies as of `now_us`, merged
     /// across shards.
     pub fn merged_window_at(&self, now_us: u64, window_buckets: usize) -> StageTallies {
-        let mut merged: Windowed<StageTallies> = Windowed::new(WINDOW_BUCKETS, BUCKET_MICROS);
-        for shard in &self.shards {
-            merged.merge_at(
-                &shard.lock().expect("stage profile shard poisoned").window,
-                now_us,
-            );
-        }
-        merged.fold_last(now_us, window_buckets)
+        self.shards.merged_window_at(now_us, window_buckets)
     }
 
     /// The profile as a JSON object: the sampling rate, the merged
@@ -516,10 +478,7 @@ impl StageProf {
                 "sample_every".to_string(),
                 JsonValue::from(u64::from(self.sample_every)),
             ),
-            (
-                "shards".to_string(),
-                JsonValue::from(self.shards.len() as u64),
-            ),
+            ("shards".to_string(), JsonValue::from(self.shards() as u64)),
         ];
         root.append(&mut fields);
         root.push(("windows".to_string(), windows.build()));

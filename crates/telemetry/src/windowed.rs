@@ -27,6 +27,11 @@
 //!
 //! The bucket payload is anything [`WindowMerge`]: histograms, plain
 //! `u64` counters, or a caller-defined struct of both.
+//!
+//! [`Sharded`] puts a lifetime value and its window behind one lock per
+//! writer, the shape both the serve stats and the stage profiler use.
+
+use std::sync::{Mutex, MutexGuard};
 
 use crate::log2hist::Log2Histogram;
 
@@ -170,6 +175,83 @@ impl<T: WindowMerge + Clone> Windowed<T> {
     }
 }
 
+/// One shard: a lifetime accumulator plus its rolling window.
+#[derive(Debug)]
+struct Shard<T> {
+    lifetime: T,
+    window: Windowed<T>,
+}
+
+/// A lifetime `T` plus a [`Windowed`] ring of it, split into shards
+/// that each sit behind their own lock. Every writer records into its
+/// own shard (a worker by its index), so the hot path never contends
+/// except with the occasional snapshot; readers merge the shards, which
+/// by the [`WindowMerge`] laws equals what one global recorder would
+/// hold, for the lifetime value and for every window.
+#[derive(Debug)]
+pub struct Sharded<T> {
+    buckets: usize,
+    bucket_micros: u64,
+    shards: Vec<Mutex<Shard<T>>>,
+}
+
+impl<T: WindowMerge + Clone> Sharded<T> {
+    /// `shards` shards (clamped to at least 1), each windowed over
+    /// `buckets` slices of `bucket_micros`.
+    pub fn new(shards: usize, buckets: usize, bucket_micros: u64) -> Self {
+        Sharded {
+            buckets,
+            bucket_micros,
+            shards: (0..shards.max(1))
+                .map(|_| {
+                    Mutex::new(Shard {
+                        lifetime: T::default(),
+                        window: Windowed::new(buckets, bucket_micros),
+                    })
+                })
+                .collect(),
+        }
+    }
+
+    /// Number of shards.
+    pub fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn lock(&self, shard: usize) -> MutexGuard<'_, Shard<T>> {
+        self.shards[shard % self.shards.len()]
+            .lock()
+            .expect("shard lock poisoned")
+    }
+
+    /// Applies `record` to shard `shard`'s lifetime value and to its
+    /// window bucket covering `now_us` (shard indices wrap).
+    pub fn record_at(&self, shard: usize, now_us: u64, record: impl Fn(&mut T)) {
+        let mut shard = self.lock(shard);
+        record(&mut shard.lifetime);
+        record(shard.window.bucket_at(now_us));
+    }
+
+    /// The lifetime values, merged across shards.
+    pub fn merged(&self) -> T {
+        let mut merged = T::default();
+        for i in 0..self.shards.len() {
+            merged.merge_from(&self.lock(i).lifetime);
+        }
+        merged
+    }
+
+    /// The last `window_buckets` buckets as of `now_us`, merged across
+    /// shards.
+    pub fn merged_window_at(&self, now_us: u64, window_buckets: usize) -> T {
+        let mut merged: Windowed<T> = Windowed::new(self.buckets, self.bucket_micros);
+        for i in 0..self.shards.len() {
+            merged.merge_at(&self.lock(i).window, now_us);
+        }
+        merged.fold_last(now_us, window_buckets)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,6 +328,18 @@ mod tests {
             1,
             "stale shard bucket must not resurrect"
         );
+    }
+
+    #[test]
+    fn sharded_records_lifetime_and_window_together() {
+        let s: Sharded<u64> = Sharded::new(3, 4, S);
+        s.record_at(0, 0, |v| *v += 2);
+        s.record_at(4, S, |v| *v += 5); // index 4 wraps onto shard 1
+        assert_eq!(s.shards(), 3);
+        assert_eq!(s.merged(), 7);
+        assert_eq!(s.merged_window_at(S, 1), 5);
+        assert_eq!(s.merged_window_at(S, 4), 7);
+        assert_eq!(s.merged_window_at(10 * S, 4), 0, "windows expire");
     }
 
     #[test]

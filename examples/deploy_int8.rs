@@ -11,7 +11,7 @@
 //! ```
 
 use flight_data::{DatasetKind, Fidelity, SyntheticDataset};
-use flight_kernels::{CompileOptions, IntNetwork};
+use flight_kernels::{CompiledNet, ExecCtx};
 use flight_nn::loss::top_k_accuracy;
 use flight_nn::Layer;
 use flight_tensor::TensorRng;
@@ -40,9 +40,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     load_params(&mut deployed, &mut checkpoint.as_slice())?;
 
     // 3. Compile to the integer pipeline with folded batch norms. The
-    //    default execution policy splits each batch across all cores.
-    let engine =
-        IntNetwork::compile_with(&mut deployed, CompileOptions::new().fold_batch_norm(true))?;
+    //    context holds the scratch arenas every forward reuses.
+    let engine = CompiledNet::compile(&mut deployed, true)?;
+    let mut ctx = ExecCtx::new();
     println!("compiled integer pipeline: {} stages", engine.stages());
 
     // 4. Compare float vs integer accuracy, and count operations.
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut total_counts = flight_kernels::OpCounts::default();
     for batch in data.test_batches(16) {
         let fl = deployed.forward(&batch.input, false);
-        let (il, counts) = engine.forward(&batch.input);
+        let (il, counts) = engine.forward(&batch.input, &mut ctx);
         float_correct += top_k_accuracy(&fl, &batch.labels, 1) * batch.len() as f32;
         int_correct += top_k_accuracy(&il, &batch.labels, 1) * batch.len() as f32;
         total_counts += counts;
