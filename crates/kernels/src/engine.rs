@@ -62,7 +62,8 @@ use flightnn::net::{NetLayer, QuantNet};
 
 use crate::counts::OpCounts;
 use crate::fixed::{fixed_point_conv_core, FixedWeights};
-use crate::qact::QuantActivations;
+use crate::lower::PlaneBatch;
+use crate::qact::{code_bound, Coder, QuantActivations};
 use crate::shift::{shift_add_conv_core, ShiftKernel};
 use crate::simd::{KernelPath, LaneCtx};
 
@@ -157,13 +158,14 @@ impl std::error::Error for CompileError {}
 /// Reusable per-context buffers: the padded integer planes a conv stage
 /// reads, the float accumulator a fused conv stage's epilogue works in,
 /// the code arenas requantized activations travel between stages in,
-/// and the lane context (dispatch path plus the batch-blocked SIMD
-/// arena). Every buffer grows to the largest stage once and is reused
-/// from then on, so a warmed walk allocates nothing here.
+/// and the lane context (dispatch path plus engaged-path tallies).
+/// Every buffer grows to the largest stage once and is reused from then
+/// on, so a warmed walk allocates nothing here.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
-    /// Integer activation codes, row-major over the whole batch; conv
-    /// stages write one zero-padded plane per image here.
+    /// Integer activation codes over the whole batch; conv stages write
+    /// one zero-padded plane per image here, full lane blocks lane-major
+    /// (see `PlaneBatch`).
     pub codes: Vec<i32>,
     /// One quantization scale per image.
     pub scales: Vec<f32>,
@@ -173,17 +175,20 @@ pub(crate) struct Scratch {
     /// ping-pongs between two; a residual block holds its input's arena
     /// while its branches run, which may add a third.
     pub arenas: Vec<CodeArena>,
-    /// Kernel dispatch path plus the lane-major blocked arena the SIMD
-    /// lanes read.
+    /// Kernel dispatch path plus the lane/scalar images the conv stages
+    /// engaged.
     pub lanes: LaneCtx,
 }
 
 /// One image batch of requantized activations, `codes · scale` per
-/// image, plus the number of live readers.
+/// image, each image's largest code magnitude (recorded by whichever
+/// stage wrote the codes, so no consumer scans for it), plus the number
+/// of live readers.
 #[derive(Debug, Default)]
 pub(crate) struct CodeArena {
     pub codes: Vec<i32>,
     pub scales: Vec<f32>,
+    pub cmax: Vec<u32>,
     readers: u32,
 }
 
@@ -857,14 +862,16 @@ fn walk<'a, O: StageObserver>(
 /// [`prefixed`](flight_telemetry::Telemetry::with_prefix) with its
 /// track).
 /// Returns the span guard bracketing the kernel run (`None` on the null
-/// sink, which keeps the hot path free of telemetry work).
+/// sink, which keeps the hot path free of telemetry work: `stats` is
+/// only evaluated on a live one).
 fn lowering_span(
     telemetry: &Telemetry,
-    stats: crate::shift::LoweringStats,
+    stats: impl FnOnce() -> crate::shift::LoweringStats,
 ) -> Option<flight_telemetry::Span> {
     if !telemetry.enabled() {
         return None;
     }
+    let stats = stats();
     telemetry.gauge(
         "kernel.lowering.interior_positions",
         stats.interior_positions as f64,
@@ -909,9 +916,12 @@ fn emit_saturation(
 }
 
 /// One conv stage over `x` (viewed as `[n, c, h, w]`) with whichever
-/// datapath the layer compiled to, then its epilogue. Integer datapaths
-/// first fill the zero-padded planes in the scratch buffers — the one
-/// place padding happens — by quantizing floats or re-gridding the
+/// datapath the layer compiled to, then its epilogue. An integer
+/// datapath first decides which path its kernel runs — from the
+/// context's path, the batch size, the lowered program and the
+/// quantizer's code bound, never from the codes — then fills the
+/// zero-padded planes in the scratch buffers in that path's layout (the
+/// one place padding happens) by quantizing floats or re-gridding the
 /// previous stage's codes, and the lowered core sweeps the whole output
 /// map over them. `stage` labels the quantization site (`"conv"` /
 /// `"linear"`) in the saturation counters; a `linear` stage shapes its
@@ -964,12 +974,20 @@ fn conv_stage<'a>(
         counts.float_adds += macs;
         out.copy_from_slice(o.as_slice());
     } else {
+        let requested = scratch.lanes.path();
+        let bound = code_bound(act_bits);
+        let path = match weights {
+            IntWeights::Shift(k) => k.lane_path(&geom, requested, n, bound),
+            IntWeights::Fixed(fw) => fw.lane_path(&geom, requested, n, bound),
+            IntWeights::Float(_) => unreachable!("handled above"),
+        };
+        let batch = PlaneBatch::of(&geom, n, path);
+        let coder = Coder::new(requested, act_bits);
         match x {
             Act::Float(t) => QuantActivations::quantize_padded_slice_into(
                 t.as_slice(),
-                [n, c, h, w],
-                act_bits,
-                padding,
+                &batch,
+                coder,
                 &mut scratch.codes,
                 &mut scratch.scales,
             ),
@@ -978,9 +996,9 @@ fn conv_stage<'a>(
                 QuantActivations::regrid_padded_into(
                     &arena.codes,
                     &arena.scales,
-                    [c, h, w],
-                    act_bits,
-                    padding,
+                    &arena.cmax,
+                    &batch,
+                    coder,
                     &mut scratch.codes,
                     &mut scratch.scales,
                 );
@@ -990,33 +1008,35 @@ fn conv_stage<'a>(
         emit_saturation(telemetry, stage, &scratch.codes, n * c * h * w, act_bits);
         match weights {
             IntWeights::Shift(kernel) => {
-                let span = lowering_span(telemetry, kernel.lowering_stats(&geom));
+                let span = lowering_span(telemetry, || kernel.lowering_stats(&geom));
                 shift_add_conv_core(
                     &scratch.codes,
                     &scratch.scales,
                     &geom,
                     kernel,
+                    path,
                     &mut out,
                     counts,
-                    &mut scratch.lanes,
                 );
                 drop(span);
             }
             IntWeights::Fixed(fw) => {
-                let span = lowering_span(telemetry, fw.lowering_stats(&geom));
+                let span = lowering_span(telemetry, || fw.lowering_stats(&geom));
                 fixed_point_conv_core(
                     &scratch.codes,
                     &scratch.scales,
                     &geom,
                     fw,
+                    path,
                     &mut out,
                     counts,
-                    &mut scratch.lanes,
                 );
                 drop(span);
             }
             IntWeights::Float(_) => unreachable!("handled above"),
         }
+        let lanes = batch.lane_images();
+        scratch.lanes.note_engaged(lanes, n - lanes);
     }
 
     apply_epilogue(&mut out, filters, geom.out_positions(), bias, epilogue);
@@ -1032,13 +1052,15 @@ fn conv_stage<'a>(
 /// fresh code arena.
 fn requant(x: &[f32], dims: &[usize], telemetry: &Telemetry, scratch: &mut Scratch) -> Codes {
     let arena = scratch.acquire();
+    let coder = Coder::new(scratch.lanes.path(), REQUANT_BITS);
     let dst = &mut scratch.arenas[arena];
     QuantActivations::quantize_images_into(
         x,
         dims[0],
-        REQUANT_BITS,
+        coder,
         &mut dst.codes,
         &mut dst.scales,
+        &mut dst.cmax,
     );
     emit_saturation(telemetry, "requant", &dst.codes, x.len(), REQUANT_BITS);
     Codes::new(arena, dims)
@@ -1079,10 +1101,17 @@ fn apply_epilogue(
 }
 
 /// 2-D max pooling over requantized codes, `window × window` with the
-/// same stride. Max commutes with dequantization — `c ↦ c · s` is
+/// same stride, recording each image's largest pooled code magnitude in
+/// `cmax` as it goes. Max commutes with dequantization — `c ↦ c · s` is
 /// monotone for `s ≥ 0` — so pooling codes and keeping each image's
 /// scale equals pooling the dequantized floats.
-fn max_pool_codes(src: &[i32], dst: &mut Vec<i32>, [n, c, h, w]: [usize; 4], k: usize) {
+fn max_pool_codes(
+    src: &[i32],
+    dst: &mut Vec<i32>,
+    cmax: &mut Vec<u32>,
+    [n, c, h, w]: [usize; 4],
+    k: usize,
+) {
     assert!(
         h % k == 0 && w % k == 0,
         "input {h}x{w} not divisible by pool window {k}"
@@ -1090,7 +1119,11 @@ fn max_pool_codes(src: &[i32], dst: &mut Vec<i32>, [n, c, h, w]: [usize; 4], k: 
     let (oh, ow) = (h / k, w / k);
     dst.clear();
     dst.resize(n * c * oh * ow, 0);
-    for (plane, out) in src.chunks_exact(h * w).zip(dst.chunks_exact_mut(oh * ow)) {
+    cmax.clear();
+    cmax.resize(n, 0);
+    let planes = src.chunks_exact(h * w).zip(dst.chunks_exact_mut(oh * ow));
+    for (i, (plane, out)) in planes.enumerate() {
+        let top = &mut cmax[i / c];
         for (band, out_row) in plane.chunks_exact(k * w).zip(out.chunks_exact_mut(ow)) {
             out_row.fill(i32::MIN);
             for row in band.chunks_exact(w) {
@@ -1098,6 +1131,7 @@ fn max_pool_codes(src: &[i32], dst: &mut Vec<i32>, [n, c, h, w]: [usize; 4], k: 
                     *slot = window.iter().fold(*slot, |m, &v| m.max(v));
                 }
             }
+            *top = out_row.iter().fold(*top, |m, v| m.max(v.unsigned_abs()));
         }
     }
 }
@@ -1168,14 +1202,12 @@ fn run_layer<'a>(
                 let dims = [d[0], d[1], d[2], d[3]];
                 let (k, out_dims) = (*window, [d[0], d[1], d[2] / window, d[3] / window]);
                 let arena = scratch.acquire();
-                let mut codes = std::mem::take(&mut scratch.arenas[arena].codes);
-                let mut scales = std::mem::take(&mut scratch.arenas[arena].scales);
+                let mut to = std::mem::take(&mut scratch.arenas[arena]);
                 let from = &scratch.arenas[src.arena];
-                max_pool_codes(&from.codes, &mut codes, dims, k);
-                scales.clear();
-                scales.extend_from_slice(&from.scales);
-                scratch.arenas[arena].codes = codes;
-                scratch.arenas[arena].scales = scales;
+                max_pool_codes(&from.codes, &mut to.codes, &mut to.cmax, dims, k);
+                to.scales.clear();
+                to.scales.extend_from_slice(&from.scales);
+                scratch.arenas[arena] = to;
                 scratch.release(src.arena);
                 Act::Codes(Codes::new(arena, &out_dims))
             }
@@ -1285,5 +1317,44 @@ fn scale_channels(out: &mut Tensor, scale: &Tensor, bias: &Tensor) {
     }
 }
 
-// Tests live in tests/engine.rs and tests/parity.rs (they need trained
-// or hand-built networks and are slower than unit scale).
+// Whole-network tests live in tests/engine.rs and tests/parity.rs (they
+// need trained or hand-built networks and are slower than unit scale).
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flight_tensor::{uniform, TensorRng};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Max-pooling codes keeps every code on the grid its input was
+        /// on, and records each image's largest pooled magnitude exactly
+        /// (the bound the next stage's regrid replays its scale from).
+        #[test]
+        fn code_max_pool_stays_within_the_grid(
+            bits in 2u32..=16,
+            n in 1usize..=9,
+            c in 1usize..=3,
+            side in 1usize..=4,
+            k in 1usize..=3,
+            seed in 0u64..1 << 32,
+        ) {
+            let bound = code_bound(bits) as i32;
+            let hw = side * k;
+            let mut rng = TensorRng::seed(seed);
+            let src: Vec<i32> = uniform(&mut rng, &[n * c * hw * hw], -1.0, 1.0)
+                .as_slice()
+                .iter()
+                .map(|&u| (u * bound as f32).round() as i32)
+                .collect();
+            let (mut dst, mut cmax) = (vec![5; 3], vec![9]);
+            max_pool_codes(&src, &mut dst, &mut cmax, [n, c, hw, hw], k);
+            prop_assert_eq!(dst.len(), n * c * side * side);
+            prop_assert!(dst.iter().all(|v| v.abs() <= bound));
+            for (img, &top) in dst.chunks_exact(c * side * side).zip(&cmax) {
+                prop_assert_eq!(top, img.iter().map(|v| v.unsigned_abs()).max().unwrap());
+            }
+        }
+    }
+}

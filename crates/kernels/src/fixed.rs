@@ -20,7 +20,7 @@ use crate::counts::OpCounts;
 use crate::lower::{executed_taps, interior_rect, pad_planes, PaddedPlane, Sweep};
 use crate::qact::QuantActivations;
 use crate::shift::LoweringStats;
-use crate::simd::{active_path, pack_lane_block, run_fixed_block, KernelPath, LaneCtx, LANES};
+use crate::simd::{active_path, lane_images, run_fixed_block, KernelPath, LANES};
 
 type LoweredCache = Arc<Mutex<Vec<(Conv2dGeometry, Arc<LoweredFixed>)>>>;
 
@@ -95,6 +95,19 @@ impl FixedWeights {
         }
     }
 
+    /// The path a conv call over `geom` runs for `n` images whose codes
+    /// are all within `±bound`, when `requested` is asked for (see
+    /// `ShiftKernel::lane_path`).
+    pub(crate) fn lane_path(
+        &self,
+        geom: &Conv2dGeometry,
+        requested: KernelPath,
+        n: usize,
+        bound: u32,
+    ) -> KernelPath {
+        self.lowered(geom).lane_path(requested, n, bound)
+    }
+
     /// The lowered program for `geom`, building and caching it on first
     /// use.
     fn lowered(&self, geom: &Conv2dGeometry) -> Arc<LoweredFixed> {
@@ -121,9 +134,9 @@ struct LoweredFixed {
     /// add per executed tap, so the two counts are equal.
     macs_per_image: u64,
     /// Worst-case per-filter magnitude multiplier `max_f Σ_taps |w|`: an
-    /// accumulator is bounded by `max |code| · lane_weight`, which must
-    /// fit i32 for the lane path to match the scalar i64 accumulation
-    /// bit-for-bit.
+    /// accumulator is bounded by `bound · lane_weight` for codes within
+    /// `±bound`, which must fit i32 for the lane path to match the
+    /// scalar i64 accumulation bit-for-bit.
     lane_weight: u64,
 }
 
@@ -181,56 +194,40 @@ impl LoweredFixed {
         }
     }
 
-    /// The path this call actually runs (see `LoweredShift::lane_path`):
+    /// The path a call actually runs (see `LoweredShift::lane_path`):
     /// the requested lane path only when the batch fills a lane block
-    /// and i32 lane accumulation provably cannot wrap;
-    /// [`KernelPath::Scalar`] otherwise.
-    fn lane_path(&self, requested: KernelPath, codes: &[i32], n: usize) -> KernelPath {
-        if requested == KernelPath::Scalar || n < LANES {
-            return KernelPath::Scalar;
-        }
-        let max_abs = codes
-            .iter()
-            .map(|c| c.unsigned_abs() as u64)
-            .max()
-            .unwrap_or(0);
-        if max_abs.saturating_mul(self.lane_weight) > i32::MAX as u64 {
+    /// and i32 lane accumulation provably cannot wrap for codes within
+    /// `±bound`; [`KernelPath::Scalar`] otherwise.
+    fn lane_path(&self, requested: KernelPath, n: usize, bound: u32) -> KernelPath {
+        let wraps = u64::from(bound).saturating_mul(self.lane_weight) > i32::MAX as u64;
+        if requested == KernelPath::Scalar || n < LANES || wraps {
             return KernelPath::Scalar;
         }
         requested
     }
 
-    /// Executes the lowered program over padded planes: full blocks of
-    /// [`LANES`] images on the SIMD lanes where eligible, every other
-    /// image on the per-image scalar loop; both sweep the whole output
-    /// map. Writes outputs only — accounting is precomputed and
-    /// dispatch-invariant — and notes the engaged split in `lanes`.
+    /// Executes the lowered program over padded planes laid out for
+    /// `path` (see `LoweredShift::run`): full lane blocks on the SIMD
+    /// lanes, every other image on the per-image scalar loop; both sweep
+    /// the whole output map. Writes outputs only — accounting is
+    /// precomputed and dispatch-invariant.
     fn run(
         &self,
         weights: &FixedWeights,
         planes: &[i32],
         scales: &[f32],
+        path: KernelPath,
         out: &mut [f32],
-        lanes: &mut LaneCtx,
     ) {
         let n = scales.len();
-        let path = self.lane_path(lanes.path(), planes, n);
-        let lane_images = if path == KernelPath::Scalar {
-            0
-        } else {
-            n - n % LANES
-        };
+        let lane_images = lane_images(path, n);
         let plane = self.plane.len;
         let (f, ckk) = (weights.dims[0], self.offsets.len());
         let positions = self.sweep.positions();
         let img_stride = f * positions;
 
         for b0 in (0..lane_images).step_by(LANES) {
-            pack_lane_block(
-                &planes[b0 * plane..(b0 + LANES) * plane],
-                plane,
-                &mut lanes.block,
-            );
+            let block = &planes[b0 * plane..(b0 + LANES) * plane];
             let mut out_scales = [0f32; LANES];
             for (l, slot) in out_scales.iter_mut().enumerate() {
                 *slot = scales[b0 + l] * weights.scale;
@@ -238,7 +235,7 @@ impl LoweredFixed {
             for fi in 0..f {
                 run_fixed_block(
                     path,
-                    &lanes.block,
+                    block,
                     &self.offsets,
                     &weights.codes[fi * ckk..(fi + 1) * ckk],
                     &self.sweep,
@@ -271,7 +268,6 @@ impl LoweredFixed {
                 }
             }
         }
-        lanes.note_engaged(lane_images, n - lane_images);
     }
 }
 
@@ -310,9 +306,11 @@ pub fn fixed_point_conv_with_path(
         stride,
         padding,
         |codes, scales, geom, out, counts| {
-            let planes = pad_planes(codes, geom);
-            let mut lanes = LaneCtx::with_path(path);
-            fixed_point_conv_core(&planes, scales, geom, weights, out, counts, &mut lanes);
+            // Caller-built codes carry no grid: scan them for the bound.
+            let bound = codes.iter().map(|c| c.unsigned_abs()).max().unwrap_or(0);
+            let path = weights.lane_path(geom, path, scales.len(), bound);
+            let planes = pad_planes(codes, geom, path);
+            fixed_point_conv_core(&planes, scales, geom, weights, path, out, counts);
         },
     )
 }
@@ -383,21 +381,25 @@ fn check_core_shapes(
 }
 
 /// Fixed-point convolution over zero-padded integer planes with one
-/// scale per image — the per-worker scratch entry point of the batched
-/// execution engine (lowered path; see `shift_add_conv_core` for the
-/// layout contract).
+/// scale per image, laid out for `path` — the path
+/// [`FixedWeights::lane_path`] chose for these codes (lowered path; see
+/// `shift_add_conv_core` for the layout contract).
 pub(crate) fn fixed_point_conv_core(
     planes: &[i32],
     scales: &[f32],
     geom: &Conv2dGeometry,
     weights: &FixedWeights,
+    path: KernelPath,
     out: &mut [f32],
     counts: &mut OpCounts,
-    lanes: &mut LaneCtx,
 ) {
     let lowered = weights.lowered(geom);
     check_core_shapes(planes, lowered.plane.len, scales, geom, weights, out);
-    lowered.run(weights, planes, scales, out, lanes);
+    debug_assert!(
+        path == KernelPath::Scalar || lowered.lane_path(path, scales.len(), 0) == path,
+        "lane path {path} on a call that cannot run it"
+    );
+    lowered.run(weights, planes, scales, path, out);
     let n = scales.len() as u64;
     counts.int_mults += n * lowered.macs_per_image;
     counts.int_adds += n * lowered.macs_per_image;
@@ -528,6 +530,37 @@ mod tests {
         let w = uniform(&mut rng, &[2, 2, 3, 3], -1.0, 1.0);
         let qw = FixedWeights::quantize(&w, 4);
         assert!(qw.codes.iter().all(|&c| c.abs() <= 7));
+    }
+
+    #[test]
+    fn a_wide_code_bound_takes_the_scalar_path_at_a_full_block() {
+        // 16-bit weights of full magnitude over a 64·3·3 volume:
+        // `lane_weight · 127` does not fit i32, so 8-bit codes must take
+        // the scalar path at batch 8 and still match the oracle.
+        let mut rng = TensorRng::seed(9);
+        let w = uniform(&mut rng, &[2, 64, 3, 3], -1.0, 1.0).map(|v| v.signum());
+        let qw = FixedWeights::quantize(&w, 16);
+        let geom = Conv2dGeometry::new(64, 3, 3, 3, 1, 0);
+        let lowered = qw.lowered(&geom);
+        assert_eq!(lowered.lane_weight, 64 * 9 * 32767);
+        assert!(lowered.lane_weight * 127 > i32::MAX as u64);
+        assert_eq!(
+            qw.lane_path(&geom, KernelPath::Portable, LANES, 127),
+            KernelPath::Scalar
+        );
+        assert_eq!(
+            qw.lane_path(&geom, KernelPath::Portable, LANES, 63),
+            KernelPath::Portable
+        );
+
+        let x = uniform(&mut rng, &[LANES, 64, 3, 3], -1.0, 1.0);
+        let qa = QuantActivations::quantize(&x, 8);
+        let (oracle, oracle_counts) = fixed_point_conv_reference(&qa, &qw, 1, 0);
+        for path in [KernelPath::Portable, active_path()] {
+            let (fast, counts) = fixed_point_conv_with_path(&qa, &qw, 1, 0, path);
+            assert_eq!(fast.as_slice(), oracle.as_slice(), "{path}");
+            assert_eq!(counts, oracle_counts, "{path}");
+        }
     }
 
     #[test]

@@ -20,6 +20,8 @@
 
 use flight_tensor::Conv2dGeometry;
 
+use crate::simd::{lane_images, transpose_lanes, KernelPath, LANES};
+
 /// The zero-padded input plane a lowered program reads:
 /// `[c, h + 2p, w + 2p]` with the real `[c, h, w]` codes at offset
 /// `(p, p)` of every channel and zeros in the ring.
@@ -87,18 +89,147 @@ impl Sweep {
     }
 }
 
-/// Copies `n` unpadded `[c, h, w]` planes into zero-padded
-/// [`PaddedPlane`]s — the public conv entry points' adapter from
-/// [`QuantActivations`](crate::QuantActivations) to the lowered layout
-/// (the engine quantizes straight into padded planes instead).
-pub(crate) fn pad_planes(codes: &[i32], geom: &Conv2dGeometry) -> Vec<i32> {
-    let (c, h, w, p) = (geom.in_channels, geom.in_h, geom.in_w, geom.padding);
-    let plane = PaddedPlane::of(geom);
-    let n = codes.len().checked_div(c * h * w).unwrap_or(0);
-    let mut out = vec![0; n * plane.len];
-    for (src, dst) in codes.chunks_exact(w).zip(padded_rows(n * c, h, w, p)) {
-        out[dst..dst + w].copy_from_slice(src);
+/// A batch of zero-padded input planes as a conv stage's cores read
+/// them when they run `path`: `n` images of `[c, h, w]` padded by
+/// `padding` on each side, the first [`lane_images`](Self::lane_images)
+/// of them lane-major and the rest image-major (see the `simd` module
+/// docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PlaneBatch {
+    /// Real image dims `[c, h, w]`.
+    pub dims: [usize; 3],
+    pub padding: usize,
+    /// Images in the batch.
+    pub n: usize,
+    /// The path the conv call runs (not merely requests).
+    pub path: KernelPath,
+}
+
+/// Code positions a lane block is transposed in at a time.
+const CHUNK: usize = 64;
+
+impl PlaneBatch {
+    /// The `n` input planes of `geom` for a call running `path`.
+    pub fn of(geom: &Conv2dGeometry, n: usize, path: KernelPath) -> PlaneBatch {
+        PlaneBatch {
+            dims: [geom.in_channels, geom.in_h, geom.in_w],
+            padding: geom.padding,
+            n,
+            path,
+        }
     }
+
+    /// Images laid out lane-major: every full block of [`LANES`] on a
+    /// lane path, none on the scalar path.
+    pub fn lane_images(&self) -> usize {
+        lane_images(self.path, self.n)
+    }
+
+    /// Codes per padded plane.
+    pub fn plane(&self) -> usize {
+        let [c, h, w] = self.dims;
+        c * (h + 2 * self.padding) * (w + 2 * self.padding)
+    }
+
+    /// Real codes per image.
+    pub fn len(&self) -> usize {
+        self.dims.iter().product()
+    }
+
+    /// The runs of real codes in one padded plane: their common length
+    /// and the plane offset of each, in source order. An unpadded plane
+    /// is one run.
+    fn runs(&self) -> (usize, impl Iterator<Item = usize>) {
+        let [c, h, w] = self.dims;
+        if self.padding == 0 {
+            (c * h * w, padded_rows(1, 1, c * h * w, 0))
+        } else {
+            (w, padded_rows(c, h, w, self.padding))
+        }
+    }
+
+    /// Writes the real codes of the batch into `codes` (`n` planes
+    /// long, ring already zero) in this layout. `image(b)` is called
+    /// once per image, in image order, before any of its codes are
+    /// written, and produces them (see [`ImageCodes`]). An image-major
+    /// image is written in place run by run. The images of a lane block
+    /// are read a chunk at a time — borrowed straight from their source
+    /// where they are stored verbatim, else staged on the stack — and
+    /// transposed into place, one lane vector per code position.
+    pub fn fill<S: ImageCodes>(&self, codes: &mut [i32], mut image: impl FnMut(usize) -> S) {
+        let (plane, len) = (self.plane(), self.len());
+        let (run, _) = self.runs();
+        let lane_images = self.lane_images();
+        let mut staged = [[0i32; CHUNK]; LANES];
+        let mut dsts = [0usize; CHUNK];
+        for b0 in (0..lane_images).step_by(LANES) {
+            let states: [S; LANES] = std::array::from_fn(|l| image(b0 + l));
+            let block = &mut codes[b0 * plane..(b0 + LANES) * plane];
+            let mut offs = self.runs().1;
+            let (mut off, mut col) = (0, run);
+            for start in (0..len).step_by(CHUNK) {
+                let k = CHUNK.min(len - start);
+                for dst in &mut dsts[..k] {
+                    if col == run {
+                        (off, col) = (offs.next().expect("a run per source code"), 0);
+                    }
+                    (*dst, col) = (off + col, col + 1);
+                }
+                let mut stage = staged.iter_mut();
+                let rows: [&[i32]; LANES] = std::array::from_fn(|l| {
+                    let stage = stage.next().expect("a stage per lane");
+                    states[l].read(start, &mut stage[..k])
+                });
+                transpose_lanes(self.path, &rows, &dsts[..k], block);
+            }
+        }
+        for b in lane_images..self.n {
+            let state = image(b);
+            let img = &mut codes[b * plane..(b + 1) * plane];
+            for (r, off) in self.runs().1.enumerate() {
+                state.write(r * run, &mut img[off..off + run]);
+            }
+        }
+    }
+}
+
+/// One image's real codes as [`PlaneBatch::fill`] consumes them, by
+/// position in the image's unpadded `[c, h, w]` order.
+pub(crate) trait ImageCodes {
+    /// Writes the codes at positions `start..start + dst.len()` into
+    /// `dst`.
+    fn write(&self, start: usize, dst: &mut [i32]);
+
+    /// The same codes, borrowed from where the image stores them
+    /// verbatim, or else written into `stage` and borrowed from there.
+    fn read<'s>(&'s self, start: usize, stage: &'s mut [i32]) -> &'s [i32] {
+        self.write(start, stage);
+        stage
+    }
+}
+
+/// Stored codes are their own source.
+impl ImageCodes for &[i32] {
+    fn write(&self, start: usize, dst: &mut [i32]) {
+        dst.copy_from_slice(&self[start..start + dst.len()]);
+    }
+
+    fn read<'s>(&'s self, start: usize, stage: &'s mut [i32]) -> &'s [i32] {
+        &self[start..start + stage.len()]
+    }
+}
+
+/// Copies `n` unpadded `[c, h, w]` planes into zero-padded
+/// [`PaddedPlane`]s laid out for a call running `path` — the public
+/// conv entry points' adapter from
+/// [`QuantActivations`](crate::QuantActivations) to the lowered layout
+/// (the engine quantizes straight into that layout instead).
+pub(crate) fn pad_planes(codes: &[i32], geom: &Conv2dGeometry, path: KernelPath) -> Vec<i32> {
+    let len = geom.in_channels * geom.in_h * geom.in_w;
+    let n = codes.len().checked_div(len).unwrap_or(0);
+    let batch = PlaneBatch::of(geom, n, path);
+    let mut out = vec![0; n * batch.plane()];
+    batch.fill(&mut out, |b| &codes[b * len..(b + 1) * len]);
     out
 }
 
@@ -297,7 +428,7 @@ mod tests {
     fn padded_planes_keep_codes_at_p_p_and_zeros_in_the_ring() {
         let geom = Conv2dGeometry::new(2, 2, 3, 3, 1, 1);
         let codes: Vec<i32> = (1..=2 * 2 * 2 * 3).collect(); // n = 2
-        let padded = pad_planes(&codes, &geom);
+        let padded = pad_planes(&codes, &geom, KernelPath::Scalar);
         let plane = PaddedPlane::of(&geom);
         assert_eq!((plane.h, plane.w, plane.len), (4, 5, 2 * 4 * 5));
         assert_eq!(padded.len(), 2 * plane.len);
@@ -309,6 +440,33 @@ mod tests {
                         let src = ((b * 2 + ch) * 2 + i) * 3 + j;
                         let dst = b * plane.len + plane.tap_offset(ch, i + 1, j + 1) as usize;
                         assert_eq!(padded[dst], codes[src]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_padded_planes_hold_every_image_plane_lane_major() {
+        use crate::simd::{active_path, lane_slot};
+        for padding in [0, 1, 2] {
+            // Nine images: one lane block and one remnant.
+            let geom = Conv2dGeometry::new(2, 3, 9, 3, 1, padding);
+            let codes: Vec<i32> = (1..=9 * 2 * 3 * 9).collect();
+            let flat = pad_planes(&codes, &geom, KernelPath::Scalar);
+            let plane = PaddedPlane::of(&geom).len;
+            for path in [KernelPath::Portable, active_path()] {
+                let blocked = pad_planes(&codes, &geom, path);
+                let lanes = lane_images(path, 9);
+                assert_eq!(blocked.len(), flat.len());
+                for b in 0..9 {
+                    let (base, step) = lane_slot(b, plane, lanes);
+                    for off in 0..plane {
+                        assert_eq!(
+                            blocked[base + off * step],
+                            flat[b * plane + off],
+                            "{path} padding {padding} image {b} offset {off}"
+                        );
                     }
                 }
             }

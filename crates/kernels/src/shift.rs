@@ -49,9 +49,7 @@ use flightnn::pow2::pow2_exponent;
 use crate::counts::OpCounts;
 use crate::lower::{executed_taps, interior_rect, pad_planes, PaddedPlane, Sweep};
 use crate::qact::QuantActivations;
-use crate::simd::{
-    active_path, pack_lane_block, run_shift_block, KernelPath, LaneCtx, LANES, MAX_LANE_SHIFT,
-};
+use crate::simd::{active_path, lane_images, run_shift_block, KernelPath, LANES, MAX_LANE_SHIFT};
 
 /// Packed tap code layout: shift amount in the low 6 bits, sign in the
 /// top bit (`1` = subtract).
@@ -370,9 +368,23 @@ impl ShiftKernel {
         }
     }
 
+    /// The path a conv call over `geom` runs for `n` images whose codes
+    /// are all within `±bound`, when `requested` is asked for (see
+    /// `LoweredShift::lane_path`). The caller lays the planes out for
+    /// it (see [`lane_images`]) before handing them to the core.
+    pub(crate) fn lane_path(
+        &self,
+        geom: &Conv2dGeometry,
+        requested: KernelPath,
+        n: usize,
+        bound: u32,
+    ) -> KernelPath {
+        self.lowered(geom).lane_path(requested, n, bound)
+    }
+
     /// The lowered program for `geom`, building and caching it on first
-    /// use. Clones share the cache, so the parallel engine lowers each
-    /// layer geometry exactly once.
+    /// use. Clones share the cache, so every context lowers each layer
+    /// geometry exactly once.
     fn lowered(&self, geom: &Conv2dGeometry) -> Arc<LoweredShift> {
         let mut cache = self.lowered.lock().expect("lowering cache poisoned");
         if let Some((_, program)) = cache.iter().find(|(g, _)| g == geom) {
@@ -426,9 +438,9 @@ struct LoweredShift {
     /// in i32.
     max_shift: u32,
     /// Worst-case per-filter magnitude multiplier `max_f Σ_taps 2^s`:
-    /// an accumulator is bounded by `max |code| · lane_weight`, which
-    /// must fit i32 for the lane path to match the scalar i64
-    /// accumulation bit-for-bit.
+    /// an accumulator is bounded by `bound · lane_weight` for codes
+    /// within `±bound`, which must fit i32 for the lane path to match
+    /// the scalar i64 accumulation bit-for-bit.
     lane_weight: u64,
 }
 
@@ -522,57 +534,43 @@ impl LoweredShift {
         &self.groups[self.group_bounds[fi] as usize..self.group_bounds[fi + 1] as usize]
     }
 
-    /// The path this call actually runs: the requested lane path only
-    /// when the batch fills at least one lane block and i32 lane
-    /// accumulation provably cannot wrap (see the `lane_weight` field
-    /// docs); [`KernelPath::Scalar`] otherwise.
-    fn lane_path(&self, requested: KernelPath, codes: &[i32], n: usize) -> KernelPath {
-        if requested == KernelPath::Scalar || n < LANES || self.max_shift > MAX_LANE_SHIFT {
-            return KernelPath::Scalar;
-        }
-        let max_abs = codes
-            .iter()
-            .map(|c| c.unsigned_abs() as u64)
-            .max()
-            .unwrap_or(0);
-        if max_abs.saturating_mul(self.lane_weight) > i32::MAX as u64 {
+    /// The path a call actually runs: the requested lane path only when
+    /// the batch fills at least one lane block and i32 lane
+    /// accumulation provably cannot wrap for codes within `±bound` (see
+    /// the `lane_weight` field docs); [`KernelPath::Scalar`] otherwise.
+    /// It looks at no code, so it can be decided before any exists.
+    fn lane_path(&self, requested: KernelPath, n: usize, bound: u32) -> KernelPath {
+        let wraps = u64::from(bound).saturating_mul(self.lane_weight) > i32::MAX as u64;
+        if requested == KernelPath::Scalar || n < LANES || self.max_shift > MAX_LANE_SHIFT || wraps
+        {
             return KernelPath::Scalar;
         }
         requested
     }
 
-    /// Executes the lowered program over padded planes: full blocks of
-    /// [`LANES`] images on the SIMD lanes where eligible, every other
-    /// image on the per-image scalar loop; both sweep the whole output
-    /// map. Writes outputs only — op accounting lives in the
-    /// precomputed per-image totals, which are dispatch-invariant — and
-    /// notes the engaged split in `lanes`.
+    /// Executes the lowered program over padded planes laid out for
+    /// `path` (full blocks of [`LANES`] images lane-major on a lane
+    /// path, see [`lane_images`]): the blocks on the SIMD lanes, every
+    /// other image on the per-image scalar loop; both sweep the whole
+    /// output map. Writes outputs only — op accounting lives in the
+    /// precomputed per-image totals, which are dispatch-invariant.
     fn run(
         &self,
         kernel: &ShiftKernel,
         planes: &[i32],
         scales: &[f32],
+        path: KernelPath,
         out: &mut [f32],
-        lanes: &mut LaneCtx,
     ) {
         let n = scales.len();
-        let path = self.lane_path(lanes.path(), planes, n);
-        let lane_images = if path == KernelPath::Scalar {
-            0
-        } else {
-            n - n % LANES
-        };
+        let lane_images = lane_images(path, n);
         let plane = self.plane.len;
         let f = kernel.filters();
         let positions = self.sweep.positions();
         let img_stride = f * positions;
 
         for b0 in (0..lane_images).step_by(LANES) {
-            pack_lane_block(
-                &planes[b0 * plane..(b0 + LANES) * plane],
-                plane,
-                &mut lanes.block,
-            );
+            let block = &planes[b0 * plane..(b0 + LANES) * plane];
             let mut out_scales = [0f32; LANES];
             for (l, slot) in out_scales.iter_mut().enumerate() {
                 *slot = scales[b0 + l] * kernel.base_scale;
@@ -580,7 +578,7 @@ impl LoweredShift {
             for fi in 0..f {
                 run_shift_block(
                     path,
-                    &lanes.block,
+                    block,
                     &self.offsets,
                     self.filter_groups(fi),
                     &self.sweep,
@@ -611,7 +609,6 @@ impl LoweredShift {
                 }
             }
         }
-        lanes.note_engaged(lane_images, n - lane_images);
     }
 }
 
@@ -656,30 +653,34 @@ fn check_core_shapes(
 /// Shift-add convolution over zero-padded integer planes with one scale
 /// per image — the lowered core.
 ///
-/// `scales.len()` is the batch size `n`; image `b`'s codes occupy
-/// `planes[b·len .. (b+1)·len]` as a `[c, h + 2p, w + 2p]` plane with
-/// zeros in the padding ring (`len` = that plane's size), and its
-/// outputs are rescaled by `scales[b] · kernel.base_scale`. Results
-/// land in `out` (length `n · filters · out_positions`, row-major
-/// `[n, f, oh, ow]`), op counts accumulate into `counts`, and the
-/// engaged lane/scalar split into `lanes`, so the execution engine can
-/// drive this from reusable per-worker scratch buffers.
+/// `scales.len()` is the batch size `n`; image `b`'s codes occupy a
+/// `[c, h + 2p, w + 2p]` plane with zeros in the padding ring, laid out
+/// for `path` — the path [`ShiftKernel::lane_path`] chose for these
+/// codes: the first [`lane_images`] images lane-major in their blocks,
+/// the rest at `planes[b·len .. (b+1)·len]` (`len` = one plane). Image
+/// `b`'s outputs are rescaled by `scales[b] · kernel.base_scale`.
+/// Results land in `out` (length `n · filters · out_positions`,
+/// row-major `[n, f, oh, ow]`) and op counts accumulate into `counts`,
+/// so the execution engine can drive this from reusable scratch.
 ///
 /// Per-image scales are what make each image's pipeline independent of
-/// its batchmates — the invariant the batched engine's bit-exact
-/// parallel/sequential parity rests on.
+/// its batchmates: an image's outputs do not depend on the batch.
 pub(crate) fn shift_add_conv_core(
     planes: &[i32],
     scales: &[f32],
     geom: &Conv2dGeometry,
     kernel: &ShiftKernel,
+    path: KernelPath,
     out: &mut [f32],
     counts: &mut OpCounts,
-    lanes: &mut LaneCtx,
 ) {
     let lowered = kernel.lowered(geom);
     check_core_shapes(planes, lowered.plane.len, scales, geom, kernel, out);
-    lowered.run(kernel, planes, scales, out, lanes);
+    debug_assert!(
+        path == KernelPath::Scalar || lowered.lane_path(path, scales.len(), 0) == path,
+        "lane path {path} on a call that cannot run it"
+    );
+    lowered.run(kernel, planes, scales, path, out);
     let n = scales.len() as u64;
     counts.shifts += n * lowered.shifts_per_image;
     counts.int_adds += n * lowered.adds_per_image;
@@ -777,9 +778,11 @@ pub fn shift_add_conv_with_path(
         stride,
         padding,
         |codes, scales, geom, out, counts| {
-            let planes = pad_planes(codes, geom);
-            let mut lanes = LaneCtx::with_path(path);
-            shift_add_conv_core(&planes, scales, geom, kernel, out, counts, &mut lanes);
+            // Caller-built codes carry no grid: scan them for the bound.
+            let bound = codes.iter().map(|c| c.unsigned_abs()).max().unwrap_or(0);
+            let path = kernel.lane_path(geom, path, scales.len(), bound);
+            let planes = pad_planes(codes, geom, path);
+            shift_add_conv_core(&planes, scales, geom, kernel, path, out, counts);
         },
     )
 }
@@ -918,9 +921,9 @@ mod tests {
             &scales,
             &geom,
             &kernel,
+            KernelPath::Scalar,
             &mut out,
             &mut counts,
-            &mut LaneCtx::new(),
         );
 
         // Each image must be bit-identical to submitting it alone.
@@ -1087,7 +1090,7 @@ mod tests {
         let lowered = kernel.lowered(&geom);
         assert!(lowered.max_shift > MAX_LANE_SHIFT);
         assert_eq!(
-            lowered.lane_path(KernelPath::Portable, &[127; 8 * 36], 8),
+            lowered.lane_path(KernelPath::Portable, 8, 127),
             KernelPath::Scalar
         );
 
@@ -1098,6 +1101,38 @@ mod tests {
         let (oracle, oracle_counts) = shift_add_conv_reference(&qa, &kernel, 1, 0);
         assert_eq!(fast.as_slice(), oracle.as_slice());
         assert_eq!(counts, oracle_counts);
+    }
+
+    #[test]
+    fn a_wide_code_bound_takes_the_scalar_path_at_a_full_block() {
+        // Shifts 0, 24, 24 fit the lanes, but `lane_weight · 127` does
+        // not fit i32: 8-bit codes must take the scalar path at batch 8,
+        // whatever the data, and still match the interpreted oracle.
+        let plan = tiny_plan(vec![1.0, 16777216.0, -16777216.0, 0.0]);
+        let kernel = ShiftKernel::compile(&plan, &[1, 1, 2, 2]);
+        let geom = Conv2dGeometry::new(1, 6, 6, 2, 1, 0);
+        let lowered = kernel.lowered(&geom);
+        assert_eq!(lowered.lane_weight, 1 + 2 * (1 << 24));
+        assert!(lowered.lane_weight * 127 > i32::MAX as u64);
+        assert_eq!(
+            kernel.lane_path(&geom, KernelPath::Portable, LANES, 127),
+            KernelPath::Scalar
+        );
+        // A 7-bit grid fits, so the decision follows the bound alone.
+        assert_eq!(
+            kernel.lane_path(&geom, KernelPath::Portable, LANES, 63),
+            KernelPath::Portable
+        );
+
+        let mut rng = TensorRng::seed(22);
+        let x = uniform(&mut rng, &[LANES, 1, 6, 6], -1.0, 1.0);
+        let qa = QuantActivations::quantize(&x, 8);
+        let (oracle, oracle_counts) = shift_add_conv_reference(&qa, &kernel, 1, 0);
+        for path in [KernelPath::Portable, active_path()] {
+            let (fast, counts) = shift_add_conv_with_path(&qa, &kernel, 1, 0, path);
+            assert_eq!(fast.as_slice(), oracle.as_slice(), "{path}");
+            assert_eq!(counts, oracle_counts, "{path}");
+        }
     }
 
     #[test]

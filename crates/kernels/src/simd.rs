@@ -9,23 +9,25 @@
 //! signs, weights — is identical for every element of the lane and
 //! broadcasts across it with no per-lane control flow.
 //!
-//! That requires a layout change. Activations arrive as per-image
-//! zero-padded planes (`codes[b · plane ..]`, see the `lower` module);
-//! the lane kernels read a **batch-blocked, lane-major arena** instead,
-//! packed per block of [`LANES`] consecutive images:
+//! That requires a layout change. Activations live in per-image
+//! zero-padded planes (see the `lower` module), but the images of every
+//! full block of [`LANES`] sit **lane-major** inside the block's span of
+//! the batch buffer:
 //!
 //! ```text
-//! block[off · LANES + l] == codes[(b0 + l) · plane + off]
+//! codes[b0 · plane + off · LANES + l]  is image b0 + l at plane offset off
 //! ```
 //!
 //! i.e. the flat padded `(c, h, w)` offset keeps its meaning and the
 //! lane index becomes the innermost (unit-stride) dimension, so every
-//! tap load is one contiguous 8 × i32 vector. Because the padding ring
-//! is packed along with the codes, one lane program covers the *whole*
-//! output map — border positions included — with no scalar fix-up
-//! pass. The arena lives in a [`LaneCtx`] owned by the engine's
-//! per-worker scratch, and the pack shim sits at the conv stage
-//! boundary.
+//! tap load is one contiguous 8 × i32 vector. Remnant images stay
+//! image-major (`codes[b · plane + off]`). Because the padding ring is
+//! part of the block, one lane program covers the *whole* output map —
+//! border positions included — with no scalar fix-up pass. The lane
+//! decision depends only on the path, the batch size, the lowered
+//! program and the activation bits (see *Exactness*), so a conv stage
+//! makes it before quantizing and the quantizer writes every block in
+//! this layout directly: there is no pack pass.
 //!
 //! # Dispatch
 //!
@@ -49,16 +51,25 @@
 //! # Exactness
 //!
 //! The scalar cores accumulate in `i64`; the lane cores accumulate in
-//! `i32`. They agree bit-for-bit iff the i32 accumulation cannot wrap,
-//! which the lowering proves *per call*: each lowered program records
-//! the worst-case per-filter magnitude multiplier (`Σ 2^s` over a
-//! filter's taps for the shift path, `Σ |w|` for the fixed path), and
-//! the runner takes the lane path only when
-//! `max |code| · multiplier ≤ i32::MAX`. Padding zeros only lower a
-//! partial sum's magnitude, so the bound covers border positions too.
-//! 8-bit activations with realistic tap programs pass by orders of
-//! magnitude; adversarial inputs silently fall back to the scalar path
-//! instead of wrapping.
+//! `i32`. They agree bit-for-bit iff the i32 accumulation cannot wrap.
+//! Each lowered program records the worst-case per-filter magnitude
+//! multiplier (`Σ 2^s` over a filter's taps for the shift path, `Σ |w|`
+//! for the fixed path), and the runner takes the lane path only when
+//! `bound · multiplier ≤ i32::MAX`, where `bound` caps every code's
+//! magnitude. The bound comes from the **quantizer's clamp**, not from
+//! the data: every code the engine hands a core comes from `code` in
+//! the `qact` module (clamped to `±qmax(act_bits)`), from a regrid copy
+//! of such codes (taken only when they already fit that grid), or from
+//! a refused slab (all zeros), and the padding ring holds zeros, so the
+//! engine passes `bound = qmax(act_bits)` and the decision is a pure
+//! function of `(path, n, max_shift, multiplier, act_bits)`. The public
+//! conv entry points take caller-built
+//! [`QuantActivations`](crate::QuantActivations), whose bits they do
+//! not know, and scan those codes for the bound instead. Padding zeros
+//! only lower a partial sum's magnitude, so the bound covers border
+//! positions too. 8-bit activations with realistic tap programs pass by
+//! orders of magnitude; a program that could wrap runs the scalar path
+//! instead.
 //!
 //! The shift lanes compute a **grouped** sum: a filter's taps are
 //! grouped by shift amount, each group's codes are summed with plain
@@ -205,16 +216,12 @@ pub fn active_path() -> KernelPath {
     *PATH.get_or_init(detect_path)
 }
 
-/// Per-worker lane state: the dispatch decision plus the batch-blocked
-/// activation arena the lane kernels read. Owned by the engine's
-/// scratch (one per worker / [`ExecCtx`](crate::ExecCtx)) so the arena
-/// grows to the largest conv stage once and is reused from then on.
+/// Per-context lane state: the requested dispatch decision plus tallies
+/// of the path the conv stages actually ran. Owned by the engine's
+/// scratch (one per [`ExecCtx`](crate::ExecCtx)).
 #[derive(Debug, Clone)]
 pub struct LaneCtx {
     path: KernelPath,
-    /// Lane-major blocked codes for the block being processed
-    /// (`plane · LANES` elements; see the module docs for the layout).
-    pub(crate) block: Vec<i32>,
     /// Images the lowered cores ran on lane blocks since the last
     /// [`take_engaged`](Self::take_engaged).
     lane_images: u64,
@@ -234,7 +241,6 @@ impl LaneCtx {
     pub fn with_path(path: KernelPath) -> Self {
         LaneCtx {
             path,
-            block: Vec::new(),
             lane_images: 0,
             scalar_images: 0,
         }
@@ -275,17 +281,64 @@ impl Default for LaneCtx {
     }
 }
 
-/// Packs [`LANES`] consecutive images' planes into the lane-major
-/// blocked layout: `block[off · LANES + l] = codes[l · plane + off]`.
-/// `codes` holds exactly the block's images, planar.
-pub(crate) fn pack_lane_block(codes: &[i32], plane: usize, block: &mut Vec<i32>) {
-    debug_assert_eq!(codes.len(), plane * LANES);
-    block.clear();
-    block.resize(plane * LANES, 0);
-    for off in 0..plane {
-        let dst = &mut block[off * LANES..(off + 1) * LANES];
-        for (l, slot) in dst.iter_mut().enumerate() {
-            *slot = codes[l * plane + off];
+/// Images of an `n`-image batch that run on lane blocks when a conv
+/// call runs `path`: every full block of [`LANES`], or none on
+/// [`KernelPath::Scalar`]. The rest run the per-image scalar loop.
+pub(crate) fn lane_images(path: KernelPath, n: usize) -> usize {
+    if path == KernelPath::Scalar {
+        0
+    } else {
+        n - n % LANES
+    }
+}
+
+/// Where image `b`'s `plane` codes sit in a batch buffer whose first
+/// `lane_images` images are lane-major (see the module docs): plane
+/// offset `off` of image `b` is element `base + off · step`. The layout
+/// writers produce it without per-code addressing; tests read it back
+/// through this.
+#[cfg(test)]
+pub(crate) fn lane_slot(b: usize, plane: usize, lane_images: usize) -> (usize, usize) {
+    if b < lane_images {
+        ((b - b % LANES) * plane + b % LANES, LANES)
+    } else {
+        (b * plane, 1)
+    }
+}
+
+/// Transposes [`LANES`] image rows of codes into lane-major lane vectors:
+/// position `j` of every row lands as one vector at
+/// `out[dsts[j] · LANES ..]`, lane `l` holding `rows[l][j]` — how a lane
+/// block is written straight from per-image codes (8 × 8 register
+/// transposes on [`KernelPath::Avx2`]).
+///
+/// # Panics
+///
+/// Panics if a row is shorter than `dsts`, or `dsts` is not increasing
+/// or reaches past `out`.
+pub(crate) fn transpose_lanes(
+    path: KernelPath,
+    rows: &[&[i32]; LANES],
+    dsts: &[usize],
+    out: &mut [i32],
+) {
+    let k = dsts.len();
+    assert!(rows.iter().all(|r| r.len() >= k), "short transpose row");
+    assert!(
+        dsts.windows(2).all(|d| d[0] < d[1])
+            && dsts.last().is_none_or(|&d| (d + 1) * LANES <= out.len()),
+        "transpose destinations out of bounds"
+    );
+    let done = match path {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: dispatch only selects Avx2 after
+        // `is_x86_feature_detected!("avx2")`; bounds asserted above.
+        KernelPath::Avx2 => unsafe { avx2::transpose(rows, dsts, out) },
+        _ => 0,
+    };
+    for (j, &d) in dsts.iter().enumerate().skip(done) {
+        for (l, row) in rows.iter().enumerate() {
+            out[d * LANES + l] = row[j];
         }
     }
 }
@@ -633,6 +686,64 @@ mod avx2 {
         }
     }
 
+    /// Transposes the full 8-position groups of `rows` into `out` (see
+    /// [`transpose_lanes`](super::transpose_lanes)), returning how many
+    /// positions it moved.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support, that every row holds at
+    /// least `dsts.len()` codes, and that every `(dsts[j] + 1) · LANES`
+    /// is at most `out.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn transpose(
+        rows: &[&[i32]; LANES],
+        dsts: &[usize],
+        out: &mut [i32],
+    ) -> usize {
+        let full = dsts.len() / LANES * LANES;
+        for j in (0..full).step_by(LANES) {
+            // SAFETY: `j + LANES <= dsts.len() <= rows[l].len()`, and the
+            // stores stay below `out.len()` (the caller's guarantee).
+            let r: [__m256i; LANES] = core::array::from_fn(|l| {
+                _mm256_loadu_si256(rows[l].as_ptr().add(j) as *const __m256i)
+            });
+            // Pairs, then quads, then 128-bit halves: row l of the 8 × 8
+            // tile becomes column l.
+            let t0 = _mm256_unpacklo_epi32(r[0], r[1]);
+            let t1 = _mm256_unpackhi_epi32(r[0], r[1]);
+            let t2 = _mm256_unpacklo_epi32(r[2], r[3]);
+            let t3 = _mm256_unpackhi_epi32(r[2], r[3]);
+            let t4 = _mm256_unpacklo_epi32(r[4], r[5]);
+            let t5 = _mm256_unpackhi_epi32(r[4], r[5]);
+            let t6 = _mm256_unpacklo_epi32(r[6], r[7]);
+            let t7 = _mm256_unpackhi_epi32(r[6], r[7]);
+            let u0 = _mm256_unpacklo_epi64(t0, t2);
+            let u1 = _mm256_unpackhi_epi64(t0, t2);
+            let u2 = _mm256_unpacklo_epi64(t1, t3);
+            let u3 = _mm256_unpackhi_epi64(t1, t3);
+            let u4 = _mm256_unpacklo_epi64(t4, t6);
+            let u5 = _mm256_unpackhi_epi64(t4, t6);
+            let u6 = _mm256_unpacklo_epi64(t5, t7);
+            let u7 = _mm256_unpackhi_epi64(t5, t7);
+            let cols = [
+                _mm256_permute2x128_si256::<0x20>(u0, u4),
+                _mm256_permute2x128_si256::<0x20>(u1, u5),
+                _mm256_permute2x128_si256::<0x20>(u2, u6),
+                _mm256_permute2x128_si256::<0x20>(u3, u7),
+                _mm256_permute2x128_si256::<0x31>(u0, u4),
+                _mm256_permute2x128_si256::<0x31>(u1, u5),
+                _mm256_permute2x128_si256::<0x31>(u2, u6),
+                _mm256_permute2x128_si256::<0x31>(u3, u7),
+            ];
+            for (i, col) in cols.iter().enumerate() {
+                let dst = out.as_mut_ptr().add(dsts[j + i] * LANES);
+                _mm256_storeu_si256(dst as *mut __m256i, *col);
+            }
+        }
+        full
+    }
+
     /// One filter's dense fixed-point taps over the whole output map,
     /// i32×8 multiplies (`vpmulld`).
     ///
@@ -715,19 +826,52 @@ mod tests {
     }
 
     #[test]
-    fn pack_is_the_lane_major_transpose() {
-        // 2 "pixels" per image: block must interleave images.
-        let plane = 2;
-        let codes: Vec<i32> = (0..(LANES * plane) as i32).collect();
-        let mut block = Vec::new();
-        pack_lane_block(&codes, plane, &mut block);
-        for off in 0..plane {
-            for l in 0..LANES {
-                assert_eq!(
-                    block[off * LANES + l],
-                    codes[l * plane + off],
-                    "off {off} lane {l}"
-                );
+    fn lane_slots_tile_the_batch_buffer() {
+        // 2 "pixels" per image, 19 images: two lane-major blocks, then
+        // three image-major remnants. Every element is claimed once.
+        let (plane, n) = (2, 19);
+        let lanes = lane_images(KernelPath::Portable, n);
+        assert_eq!(lanes, 16);
+        assert_eq!(lane_images(KernelPath::Scalar, n), 0);
+        let mut owner = vec![None; n * plane];
+        for b in 0..n {
+            let (base, step) = lane_slot(b, plane, lanes);
+            for off in 0..plane {
+                let slot = &mut owner[base + off * step];
+                assert_eq!(*slot, None, "image {b} offset {off}");
+                *slot = Some((b, off));
+            }
+        }
+        // Lane-major inside a block: offset-major, image-minor.
+        assert_eq!(owner[LANES * plane + 3], Some((LANES + 3, 0)));
+        assert_eq!(owner[LANES * plane + LANES + 3], Some((LANES + 3, 1)));
+        assert_eq!(owner[16 * plane + 1], Some((16, 1)));
+    }
+
+    #[test]
+    fn lane_transposes_scatter_every_position_and_tail() {
+        let rows: [Vec<i32>; LANES] =
+            std::array::from_fn(|l| (0..20).map(|j| (l * 100 + j) as i32).collect());
+        let rows: [&[i32]; LANES] = std::array::from_fn(|l| &rows[l][..]);
+        let mut paths = vec![KernelPath::Scalar, KernelPath::Portable];
+        if cpu_features().avx2 {
+            paths.push(KernelPath::Avx2);
+        }
+        for k in 0..=20 {
+            // Runs of three positions with one-position gaps, as padded
+            // rows are laid out.
+            let dsts: Vec<usize> = (0..k).map(|j| j + j / 3).collect();
+            let len = dsts.last().map_or(0, |d| (d + 1) * LANES);
+            let mut want = vec![-1; len + 3];
+            for (j, &d) in dsts.iter().enumerate() {
+                for l in 0..LANES {
+                    want[d * LANES + l] = rows[l][j];
+                }
+            }
+            for &path in &paths {
+                let mut out = vec![-1; len + 3];
+                transpose_lanes(path, &rows, &dsts, &mut out);
+                assert_eq!(out, want, "{path} k {k}");
             }
         }
     }

@@ -273,10 +273,11 @@ pub fn export_chrome(trace: &Trace) -> (JsonValue, ExportStats) {
 /// serve;forward;stage.1.leaky_relu 912
 /// ```
 ///
-/// One line per compiled stage with at least one sample, frame stack
-/// `serve;forward;stage.<index>.<kind>`, weight the stage's lifetime
-/// wall time in integer microseconds. Stage order follows the compiled
-/// layer order, so diffs between two exports line up.
+/// One line per row with at least one sample — every compiled stage,
+/// then the `unattributed` remainder of the compute time — frame stack
+/// `serve;forward;stage.<index>.<kind>`, weight the row's lifetime wall
+/// time in integer microseconds. Row order follows the compiled layer
+/// order, so diffs between two exports line up.
 ///
 /// # Errors
 ///
@@ -606,6 +607,23 @@ mod tests {
         assert_eq!(
             folded,
             "serve;forward;stage.0.conv 48213\nserve;forward;stage.1.leaky_relu 912\n"
+        );
+    }
+
+    #[test]
+    fn folded_export_of_a_profiler_snapshot_matches_its_own_folding() {
+        use flight_telemetry::{StageSample, StageTallies};
+        let mut sample = StageSample::new();
+        sample.record_stage("conv", 48_213_000, 9);
+        sample.record_stage("linear", 912_000, 3);
+        sample.set_compute_ns(50_125_000);
+        let mut tallies = StageTallies::default();
+        tallies.record(&sample);
+        let folded = export_folded(&tallies.json()).unwrap();
+        assert_eq!(folded, tallies.folded());
+        assert_eq!(
+            folded.lines().last(),
+            Some("serve;forward;stage.2.unattributed 1000")
         );
     }
 

@@ -6,7 +6,9 @@
 //! table: every compiled stage with its share of forward wall time,
 //! p50/p99 stage latency, ops/sec, sample count, and — for integer
 //! conv/linear stages — how many images ran on SIMD lane blocks vs the
-//! per-image scalar loop, sorted hottest first. The header names the
+//! per-image scalar loop, sorted hottest first. The `unattributed` row
+//! is the compute time no stage timer covered, so the shares add up to
+//! the sampled compute time. The header names the
 //! kernel path the profiled forwards actually ran (avx2 / portable /
 //! scalar; a forward whose batch fills no lane block counts as scalar),
 //! so a deploy to the wrong microarchitecture, or traffic too thin to
@@ -308,7 +310,8 @@ mod tests {
                     "stages",
                     vec![
                         stage(0, "conv", conv_share, f),
-                        stage(1, "linear", 1.0 - conv_share, f),
+                        stage(1, "linear", 0.95 - conv_share, f),
+                        stage(2, "unattributed", 0.05, f),
                     ],
                 )
                 .build()
@@ -358,6 +361,8 @@ mod tests {
         let row = |name: &str| text.lines().find(|l| l.contains(name)).unwrap();
         assert!(row("stage.0.conv").ends_with(" 12/6"), "{text}");
         assert!(row("stage.1.linear").ends_with(" -"), "{text}");
+        assert!(row("stage.2.unattributed").contains("5.0%"), "{text}");
+        assert!(row("stage.2.unattributed").ends_with(" -"), "{text}");
         assert!(!text.contains('\x1b'), "plain render has no ANSI escapes");
     }
 

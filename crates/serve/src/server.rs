@@ -563,6 +563,9 @@ fn run_batch(
     };
     let compute = compute_start.elapsed();
     if profiled {
+        // The compute wall closes the profile's ledger: what no stage
+        // timer covered lands in its unattributed row.
+        profile_scratch.set_compute_ns(compute.as_nanos() as u64);
         shared.profiler.record(worker, profile_scratch);
     }
 

@@ -10,13 +10,30 @@
 //!
 //! The file also covers the end-to-end loop: a live server with
 //! sampling at 1/1 answers the `profile` verb with every compiled
-//! stage attributed.
+//! stage attributed, and the profile's rows — stages plus the
+//! unattributed remainder — sum to the compute time they sample.
 
 use std::sync::Arc;
+use std::time::Instant;
 
+use flight_kernels::ExecCtx;
 use flight_serve::{ModelSpec, ServeClient, Server, ServerConfig};
 use flight_telemetry::json::JsonValue;
-use flight_telemetry::{sampled, StageProf, StageSample, MAX_STAGES};
+use flight_telemetry::{sampled, StageProf, StageSample, MAX_STAGES, UNATTRIBUTED_KIND};
+use flight_tensor::Tensor;
+
+/// A profile snapshot's rows: the `stages` array.
+fn rows(profile: &JsonValue) -> &[JsonValue] {
+    profile
+        .get("stages")
+        .and_then(JsonValue::as_array)
+        .expect("stages array")
+}
+
+/// A row's numeric field.
+fn field(row: &JsonValue, key: &str) -> f64 {
+    row.get(key).and_then(JsonValue::as_f64).unwrap()
+}
 
 /// A deterministic pseudo-load: sampled forward `i` as a filled
 /// [`StageSample`] plus a synthetic clock spread over ~6 one-second
@@ -145,15 +162,25 @@ fn live_server_attributes_every_compiled_stage_over_the_profile_verb() {
         Some(1.0)
     );
 
-    let stages = profile
-        .get("stages")
-        .and_then(JsonValue::as_array)
-        .expect("stages array");
+    let stages = rows(&profile);
     assert_eq!(
         stages.len(),
-        expected_stages,
-        "every compiled stage appears in the profile"
+        expected_stages + 1,
+        "every compiled stage appears in the profile, then the remainder"
     );
+    let last = stages.last().unwrap();
+    assert_eq!(
+        last.get("kind").and_then(JsonValue::as_str),
+        Some(UNATTRIBUTED_KIND)
+    );
+    assert_eq!(field(last, "index") as usize, expected_stages);
+    assert_eq!(
+        field(last, "samples") as u64,
+        forwards,
+        "every forward timed"
+    );
+    let shares: f64 = stages.iter().map(|s| field(s, "time_share")).sum();
+    assert!((shares - 1.0).abs() < 1e-6, "time shares sum to {shares}");
     for stage in stages {
         let samples = stage.get("samples").and_then(JsonValue::as_f64).unwrap();
         assert!(samples >= 1.0, "stage has samples: {}", stage.render());
@@ -169,4 +196,45 @@ fn live_server_attributes_every_compiled_stage_over_the_profile_verb() {
     assert_eq!(path_total as u64, forwards, "paths partition the forwards");
 
     server.stop();
+}
+
+#[test]
+fn profile_rows_sum_to_the_sampled_compute_time() {
+    // The server's recipe, with the compute wall in hand: time each
+    // profiled forward around the call, hand the time to the sample,
+    // record it. The rows must add up to exactly that time.
+    let spec = ModelSpec::default();
+    let net = spec.build().expect("spec builds");
+    let [c, h, w] = spec.image_dims;
+    let prof = StageProf::new(1, 1);
+    let mut ctx = ExecCtx::new();
+    let mut sample = StageSample::new();
+    let mut compute_ns = 0u64;
+    let batches = [1usize, 3, 8, 9];
+    for n in batches {
+        let x = Tensor::from_vec(vec![0.25; n * c * h * w], &[n, c, h, w]);
+        let start = Instant::now();
+        let _ = net.forward_profiled(&x, &mut ctx, &mut sample);
+        let ns = start.elapsed().as_nanos() as u64;
+        sample.set_compute_ns(ns);
+        prof.record(0, &sample);
+        compute_ns += ns;
+    }
+
+    let snapshot = prof.snapshot_json();
+    let stages = rows(&snapshot);
+    assert_eq!(stages.len(), net.stages() + 1);
+    let last = stages.last().unwrap();
+    assert_eq!(
+        last.get("kind").and_then(JsonValue::as_str),
+        Some(UNATTRIBUTED_KIND)
+    );
+    assert_eq!(field(last, "samples") as usize, batches.len());
+    let rows_ns: u64 = stages
+        .iter()
+        .map(|s| (field(s, "wall_total_us") * 1e3).round() as u64)
+        .sum();
+    assert_eq!(rows_ns, compute_ns, "rows sum to the sampled compute time");
+    let shares: f64 = stages.iter().map(|s| field(s, "time_share")).sum();
+    assert!((shares - 1.0).abs() < 1e-9, "time shares sum to {shares}");
 }

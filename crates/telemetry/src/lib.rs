@@ -105,6 +105,7 @@ pub use log2hist::{bucket_upper, Log2Histogram, SUB_BUCKETS_PER_OCTAVE};
 pub use sink::{CollectingSink, NullSink, PrefixSink, StderrSink, TelemetrySink};
 pub use stageprof::{
     sampled, StageProf, StageSample, StageStat, StageTallies, DEFAULT_SAMPLE_EVERY, MAX_STAGES,
+    UNATTRIBUTED_KIND,
 };
 pub use track::{
     parse_request_track, parse_worker, request_prefix, worker_prefix, REQUEST_TRACK_PREFIX,

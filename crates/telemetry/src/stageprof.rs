@@ -34,13 +34,24 @@
 //! when coalesced. Deterministic selection makes the profiler testable
 //! and replayable — no RNG state, no per-thread counters to drift.
 //!
+//! # The unattributed row
+//!
+//! Stage timers cover the stage walk, not everything a forward costs:
+//! the input copy, the logits tensor, the walk's own bookkeeping and
+//! stages past [`MAX_STAGES`] fall between them. When the caller times
+//! the whole compute call and hands it over
+//! ([`StageSample::set_compute_ns`]), the difference — compute wall
+//! minus Σ stage wall — is tallied as one more row of kind
+//! [`UNATTRIBUTED_KIND`], after the last stage. The rows then sum to
+//! the sampled compute time, and time shares are shares of it.
+//!
 //! # Folded-stack format
 //!
 //! [`StageTallies::folded`] renders the classic flamegraph collapsed
 //! format — one `serve;forward;stage.<i>.<kind> <wall_us>` line per
-//! stage — consumable by `flamegraph.pl`, inferno, speedscope, and
-//! friends. `flightctl export --format folded` produces the same lines
-//! from a `profile` snapshot JSON.
+//! row, the unattributed row included — consumable by `flamegraph.pl`,
+//! inferno, speedscope, and friends. `flightctl export --format folded`
+//! produces the same lines from a `profile` snapshot JSON.
 
 use crate::handle::trace_now_us;
 use crate::json::{JsonObject, JsonValue};
@@ -59,6 +70,10 @@ pub const DEFAULT_SAMPLE_EVERY: u32 = 16;
 /// Stage kind label for index slots whose recordings disagreed (a hot
 /// swap changed the architecture mid-aggregation).
 pub const MIXED_KIND: &str = "mixed";
+
+/// Kind of the row holding compute time no stage timer covered (see
+/// the module docs).
+pub const UNATTRIBUTED_KIND: &str = "unattributed";
 
 /// The reported profile windows: label and width in one-second buckets.
 pub const PROFILE_WINDOWS: [(&str, usize); 3] = [("1s", 1), ("10s", 10), ("60s", 60)];
@@ -97,6 +112,8 @@ pub struct StageSample {
     kinds: [&'static str; MAX_STAGES],
     path: &'static str,
     images: u64,
+    /// Wall time of the whole compute call, when the caller timed it.
+    compute_ns: Option<u64>,
 }
 
 impl Default for StageSample {
@@ -111,6 +128,7 @@ impl Default for StageSample {
             kinds: [""; MAX_STAGES],
             path: "",
             images: 0,
+            compute_ns: None,
         }
     }
 }
@@ -129,6 +147,7 @@ impl StageSample {
         self.truncated = 0;
         self.path = "";
         self.images = 0;
+        self.compute_ns = None;
     }
 
     /// Appends one stage's wall time and op total (a stage that runs no
@@ -170,6 +189,22 @@ impl StageSample {
     /// Records how many images the profiled forward carried.
     pub fn set_images(&mut self, images: u64) {
         self.images = images;
+    }
+
+    /// Records the wall time of the whole compute call this forward ran
+    /// in, timed by the caller around it, so the compute time no stage
+    /// covered is tallied as the unattributed row.
+    pub fn set_compute_ns(&mut self, compute_ns: u64) {
+        self.compute_ns = Some(compute_ns);
+    }
+
+    /// Compute wall minus the recorded stages' wall, when the compute
+    /// call was timed. The stage intervals lie inside the compute call,
+    /// so this is never negative; the subtraction saturates only if a
+    /// caller hands over a compute time that did not enclose the walk.
+    pub fn unattributed_ns(&self) -> Option<u64> {
+        let staged: u64 = self.wall_ns[..self.len].iter().sum();
+        self.compute_ns.map(|c| c.saturating_sub(staged))
     }
 
     /// Number of recorded stages.
@@ -236,13 +271,18 @@ impl StageStat {
 }
 
 /// Everything one recorder tallies: per-stage stats by stage index,
-/// forward/image totals, and the dispatch-path distribution. Used both
-/// as the lifetime accumulator and as the window-bucket payload.
+/// the unattributed remainder, forward/image totals, and the
+/// dispatch-path distribution. Used both as the lifetime accumulator
+/// and as the window-bucket payload.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct StageTallies {
     /// Per-stage stats, indexed by pipeline stage. Grows to the deepest
     /// pipeline observed.
     pub stages: Vec<StageStat>,
+    /// Compute wall no stage covered, over the forwards whose compute
+    /// call was timed (kind [`UNATTRIBUTED_KIND`]; no ops, no images);
+    /// `None` until one is recorded, so idle window buckets stay empty.
+    pub unattributed: Option<StageStat>,
     /// Profiled forward calls.
     pub forwards: u64,
     /// Images those forwards carried.
@@ -260,6 +300,11 @@ impl WindowMerge for StageTallies {
         }
         for (mine, theirs) in self.stages.iter_mut().zip(&other.stages) {
             mine.merge_from(theirs);
+        }
+        if let Some(theirs) = &other.unattributed {
+            self.unattributed
+                .get_or_insert_with(StageStat::default)
+                .merge_from(theirs);
         }
         self.forwards += other.forwards;
         self.images += other.images;
@@ -294,6 +339,13 @@ impl StageTallies {
             stat.lane_images += sample.lane_images[i];
             stat.scalar_images += sample.scalar_images[i];
         }
+        if let Some(ns) = sample.unattributed_ns() {
+            let stat = self.unattributed.get_or_insert_with(StageStat::default);
+            stat.absorb_kind(UNATTRIBUTED_KIND);
+            stat.wall_ms.record(ns as f64 * 1e-6);
+            stat.wall_ns += ns;
+            stat.samples += 1;
+        }
         self.forwards += 1;
         self.images += sample.images;
         self.truncated += sample.truncated;
@@ -302,9 +354,17 @@ impl StageTallies {
         }
     }
 
-    /// Total wall across all stages, ns — the time-share denominator.
+    /// Total wall across all rows, the unattributed one included, ns —
+    /// the time-share denominator. When every forward's compute call was
+    /// timed, this is the sampled compute time.
     pub fn total_wall_ns(&self) -> u64 {
-        self.stages.iter().map(|s| s.wall_ns).sum()
+        self.rows().map(|(_, s)| s.wall_ns).sum()
+    }
+
+    /// The reported rows with their indices: every stage, then the
+    /// unattributed row (index = stage count) once it has samples.
+    pub fn rows(&self) -> impl Iterator<Item = (usize, &StageStat)> {
+        self.stages.iter().chain(&self.unattributed).enumerate()
     }
 
     /// The dominant dispatch path, if any forward was profiled.
@@ -319,7 +379,8 @@ impl StageTallies {
     /// a `paths` object, and a `stages` array of per-layer rows
     /// (`index`, `kind`, `samples`, `time_share`, `wall_total_us`,
     /// `wall_ms` percentiles, `ops`, `ops_per_sec`, and the engaged
-    /// `lane_images` / `scalar_images`).
+    /// `lane_images` / `scalar_images`) ending with the unattributed
+    /// row (see [`rows`](Self::rows)).
     pub fn json(&self) -> JsonValue {
         let total_ns = self.total_wall_ns();
         let mut paths = JsonObject::new();
@@ -327,9 +388,7 @@ impl StageTallies {
             paths = paths.field(path, *n);
         }
         let stages: Vec<JsonValue> = self
-            .stages
-            .iter()
-            .enumerate()
+            .rows()
             .map(|(i, s)| {
                 let secs = s.wall_ns as f64 * 1e-9;
                 JsonObject::new()
@@ -381,10 +440,10 @@ impl StageTallies {
 
     /// The folded-stack rendering: one
     /// `serve;forward;stage.<i>.<kind> <wall_us>` line per recorded
-    /// stage, ready for standard flamegraph tooling.
+    /// row, ready for standard flamegraph tooling.
     pub fn folded(&self) -> String {
         let mut out = String::new();
-        for (i, s) in self.stages.iter().enumerate() {
+        for (i, s) in self.rows() {
             if s.samples == 0 {
                 continue;
             }
@@ -632,10 +691,64 @@ mod tests {
     }
 
     #[test]
+    fn the_unattributed_row_closes_the_compute_ledger() {
+        let mut tallies = StageTallies::default();
+        // An untimed forward adds no row.
+        tallies.record(&sample(&[("conv", 700, 1), ("linear", 200, 1)], "avx2"));
+        assert!(tallies.unattributed.is_none());
+        assert_eq!(tallies.rows().count(), 2);
+        assert_eq!(tallies.total_wall_ns(), 900);
+        let mut computed = 0;
+        for compute_ns in [1_000u64, 2_500] {
+            let mut s = sample(&[("conv", 700, 1), ("linear", 200, 1)], "avx2");
+            s.set_compute_ns(compute_ns);
+            assert_eq!(s.unattributed_ns(), Some(compute_ns - 900));
+            tallies.record(&s);
+            computed += compute_ns;
+        }
+        let row = tallies.unattributed.as_ref().expect("timed forwards");
+        assert_eq!(row.kind, UNATTRIBUTED_KIND);
+        assert_eq!(row.samples, 2);
+        assert_eq!(row.wall_ns, 100 + 1_600);
+        // Rows: the stages of all three forwards plus the remainder of
+        // the two timed ones, which sum to their compute time.
+        assert_eq!(tallies.total_wall_ns(), 900 + computed);
+
+        let json = tallies.json();
+        let rows = json.get("stages").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(rows.len(), 3);
+        let last = &rows[2];
+        assert_eq!(last.get("index").and_then(JsonValue::as_f64), Some(2.0));
+        assert_eq!(
+            last.get("kind").and_then(JsonValue::as_str),
+            Some(UNATTRIBUTED_KIND)
+        );
+        let shares: f64 = rows
+            .iter()
+            .map(|r| r.get("time_share").and_then(JsonValue::as_f64).unwrap())
+            .sum();
+        assert!((shares - 1.0).abs() < 1e-12, "shares sum to {shares}");
+        let folded = tallies.folded();
+        assert_eq!(
+            folded.lines().last(),
+            Some("serve;forward;stage.2.unattributed 1")
+        );
+
+        // Shard merges carry the row.
+        let mut merged = StageTallies::default();
+        merged.merge_from(&tallies);
+        merged.merge_from(&tallies);
+        let row = merged.unattributed.as_ref().expect("merged");
+        assert_eq!((row.wall_ns, row.samples), (2 * 1_700, 4));
+    }
+
+    #[test]
     fn scratch_reset_is_cheap_and_complete() {
         let mut s = sample(&[("conv", 100, 1)], "avx2");
         s.truncated = 7;
+        s.set_compute_ns(500);
         s.reset();
+        assert_eq!(s.unattributed_ns(), None);
         assert_eq!(s.stages(), 0);
         assert_eq!(s.truncated, 0);
         assert_eq!(s.path(), "");
